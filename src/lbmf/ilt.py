@@ -10,8 +10,11 @@ Two classic fixed-parameter methods working in double precision:
 * ``euler`` - Bromwich trapezoid with Euler summation (Abate & Whitt),
   used as an independent cross-check.
 
-Both take a transform ``F: complex -> complex`` and an array of strictly
-positive times.
+Both take a transform ``F`` and an array of strictly positive times. ``F``
+is called with an ndarray of complex points and returns the transform at
+each, in the same shape. Each call covers the nodes of up to ``BLOCK`` time
+points, which bounds the working set of the transform; per time point the
+nodes are summed in the same order as the textbook loop.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# Time points per transform call: 512 Talbot nodes at the default 64. Blocks
+# of 16 raised the peak memory of a density followed by a simulation above
+# that of the one-point-at-a-time loop; blocks of 8 did not.
+BLOCK = 8
 
 
 def talbot(transform, ts, nodes: int = 64, r: float | None = None) -> np.ndarray:
@@ -35,13 +43,16 @@ def talbot(transform, ts, nodes: int = 64, r: float | None = None) -> np.ndarray
     bracket = 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot
     shape = theta * (cot + 1j)
     out = np.empty(len(ts))
-    for idx, t in enumerate(ts):
+    for lo in range(0, len(ts), BLOCK):
+        t = ts[lo:lo + BLOCK, None]
         p0 = r / t
         p = p0 * shape
-        acc = 0.5 * math.exp(r) * transform(complex(p0))
-        for pk, bk in zip(p, bracket):
-            acc += np.exp(t * pk) * bk * transform(complex(pk))
-        out[idx] = (r / (m * t)) * acc.real
+        f = transform(np.concatenate((p0 + 0j, p), axis=1))
+        acc = 0.5 * math.exp(r) * f[:, 0]
+        terms = np.exp(t * p) * bracket * f[:, 1:]
+        for term in terms.T:
+            acc += term
+        out[lo:lo + BLOCK] = (r / (m * t[:, 0])) * acc.real
     return out
 
 
@@ -67,14 +78,19 @@ def euler(transform, ts, terms: int = 37) -> np.ndarray:
     if n < 1:
         raise ValueError("terms must be at least 3")
     xi = _euler_xi(n)
-    sign = (-1.0) ** np.arange(2 * n + 1)
-    eta = sign * xi
+    k = np.arange(2 * n + 1)
+    eta = (-1.0) ** k * xi
     a = n * math.log(10.0) / 3.0
     scale = 10.0 ** (n / 3.0)
     out = np.empty(len(ts))
-    for idx, t in enumerate(ts):
-        acc = 0.0
-        for k in range(2 * n + 1):
-            acc += eta[k] * transform(complex(a / t, math.pi * k / t)).real
-        out[idx] = scale * acc / t
+    for lo in range(0, len(ts), BLOCK):
+        t = ts[lo:lo + BLOCK, None]
+        s = np.empty((len(t), len(k)), dtype=complex)
+        s.real = a / t
+        s.imag = math.pi * k / t
+        f = transform(s).real
+        acc = np.zeros(len(t))
+        for col, e in zip(f.T, eta):
+            acc += e * col
+        out[lo:lo + BLOCK] = scale * acc / t[:, 0]
     return out

@@ -18,6 +18,7 @@ queue lengths both ways and is solved as a dense linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -136,18 +137,26 @@ def _mean_table(mu, a):
     return h
 
 
-def _laplace_table(mu, a, s):
-    """Same recursion over Laplace transforms at the complex point s."""
+def _add_laplace(mu, a, levels, s, acc):
+    """Same recursion over Laplace transforms, at every point of the 1-D
+    complex array ``s``; adds the entry-weighted diagonal into ``acc``.
+
+    Only one row of the table is kept, overwritten going down in j: H[i, j]
+    reads H[i-1, j-1], not yet overwritten, and H[i, j+1], already new.
+    ``levels`` maps an entry length j to its weight; H[j, j] is final once
+    row j is done.
+    """
     b = len(mu) - 1
-    h = np.zeros((b + 1, b + 2), dtype=complex)
-    h[0, :] = 1.0
+    den = s + a[:, None] + mu[:, None]
+    row = np.ones((b + 1, len(s)), dtype=complex)
     for i in range(1, b + 1):
         for j in range(b, i - 1, -1):
-            num = mu[j] * h[i - 1][j - 1]
+            num = mu[j] * row[j - 1]
             if j < b:
-                num += a[j] * h[i][j + 1]
-            h[i][j] = num / (s + a[j] + mu[j])
-    return h
+                num += a[j] * row[j + 1]
+            np.divide(num, den[j], out=row[j])
+        if i in levels:
+            acc += levels[i] * row[i]
 
 
 def _mean_table_jsq(mu, a_boundary, i0):
@@ -168,19 +177,22 @@ def _mean_table_jsq(mu, a_boundary, i0):
     return h
 
 
-def _laplace_table_jsq(mu, a_boundary, i0, s):
+def _add_laplace_jsq(mu, a_boundary, i0, levels, s, acc):
+    """Transform counterpart of ``_mean_table_jsq``, kept to one row in the
+    same way as ``_add_laplace``."""
     b = len(mu) - 1
-    h = np.zeros((b + 1, b + 2), dtype=complex)
-    h[0, :] = 1.0
+    drain = mu[1:, None] / (s + mu[1:, None])  # row j - 1 drains length j
+    den = s + a_boundary + mu[i0 - 1]
+    row = np.ones((b + 1, len(s)), dtype=complex)
     for i in range(1, b + 1):
         for j in range(b, max(i0, i) - 1, -1):
-            h[i][j] = mu[j] / (s + mu[j]) * h[i - 1][j - 1]
+            np.multiply(drain[j - 1], row[j - 1], out=row[j])
         if i <= i0 - 1:
-            num = a_boundary * h[i][i0] + mu[i0 - 1] * h[i - 1][i0 - 1]
-            h[i][i0 - 1] = num / (s + a_boundary + mu[i0 - 1])
-            for j in range(i0 - 2, i - 1, -1):
-                h[i][j] = h[i][j + 1]
-    return h
+            num = a_boundary * row[i0] + mu[i0 - 1] * row[i0 - 1]
+            np.divide(num, den, out=row[i0 - 1])
+            row[i:i0 - 1] = row[i0 - 1]
+        if i in levels:
+            acc += levels[i] * row[i]
 
 
 def sojourn_weights(spec: ClusterSpec, policy: Policy, report: StationaryReport):
@@ -212,38 +224,56 @@ def _tables_mean(spec, policy, report):
     ]
 
 
-def laplace_eval(spec: ClusterSpec, policy: Policy, report: StationaryReport, s) -> complex:
-    """Transform of the admitted-job system-time density at the point s.
+def _levels(spec, weights):
+    """Entry weights per type, as {entry length: weight}."""
+    levels = [{} for _ in spec.types]
+    for k, j, w in weights:
+        levels[k][j] = levels[k].get(j, 0.0) + w
+    return levels
 
-    At s = 0 this equals one minus the loss probability; divide by that mass
-    for the transform of the proper density.
+
+def _pointwise(parts):
+    """Evaluator over s summing the contributions ``part(flat_s, acc)``.
+
+    ``s`` may be a complex scalar, which gives a Python complex back, or an
+    ndarray of complex points, which gives an array of the same shape.
     """
-    evaluator = transform(spec, policy, report)
-    return evaluator(s)
+
+    def evaluate(s):
+        points = np.asarray(s, dtype=complex)
+        flat = points.reshape(-1)
+        acc = np.zeros(flat.shape, dtype=complex)
+        for part in parts:
+            part(flat, acc)
+        out = acc.reshape(points.shape)
+        return complex(out) if np.isscalar(s) else out
+
+    return evaluate
 
 
 def transform(spec: ClusterSpec, policy: Policy, report: StationaryReport):
-    """Build a reusable evaluator of the system-time transform."""
+    """Build a reusable evaluator of the admitted-job system-time transform.
+
+    The evaluator takes s as a complex scalar, returning a Python complex, or
+    as an ndarray of complex points, returning the transform at each in the
+    same shape. The recursion runs once per call over all the points, so its
+    working set grows with the number of points; ``ilt`` calls it one block
+    of time points at a time. At s = 0 the transform equals one minus the
+    loss probability; divide by that mass for the proper density.
+    """
     _check_regime(policy, report)
-    weights = _entry_weights(spec, policy, report)
+    levels = _levels(spec, _entry_weights(spec, policy, report))
     mus = [np.asarray(t.curve.rates) for t in spec.types]
     if report.regime == "jsq":
         wb = (spec.lam - report.z0) / report.y0
-        i0 = report.i0
-
-        def evaluate(s: complex) -> complex:
-            tables = [_laplace_table_jsq(mu, wb, i0, s) for mu in mus]
-            return complex(sum(w * tables[k][j][j] for k, j, w in weights))
-
-        return evaluate
-
+        return _pointwise([
+            partial(_add_laplace_jsq, mu, wb, report.i0, lv)
+            for mu, lv in zip(mus, levels)
+        ])
     rates = _arrival_rates(spec, policy, report)
-
-    def evaluate(s: complex) -> complex:
-        tables = [_laplace_table(mu, a, s) for mu, a in zip(mus, rates)]
-        return complex(sum(w * tables[k][j][j] for k, j, w in weights))
-
-    return evaluate
+    return _pointwise([
+        partial(_add_laplace, mu, a, lv) for mu, a, lv in zip(mus, rates, levels)
+    ])
 
 
 @dataclass
@@ -311,6 +341,8 @@ def distribution(spec: ClusterSpec, policy: Policy, report: StationaryReport) ->
 def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     """Transform evaluator under limited processor sharing.
 
+    The evaluator takes s the way ``transform``'s does: a complex scalar, or
+    an ndarray of complex points evaluated with one stacked linear solve.
     Requires a multiprogramming level on every type and a regime where the
     dispatch field is continuous at the stationary point; the discontinuous
     regimes are not covered.
@@ -324,54 +356,58 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
         if t.mpl is None:
             raise ValueError(f"lps requires mpl on every type; type {k} has none")
     rates = _arrival_rates(spec, policy, report)
-    weights = _entry_weights(spec, policy, report)
+    levels = _levels(spec, _entry_weights(spec, policy, report))
     systems = [
         _LpsSystem(np.asarray(t.curve.rates), a, t.mpl)
         for t, a in zip(spec.types, rates)
     ]
-
-    def evaluate(s: complex) -> complex:
-        sols = [sys.solve(s) for sys in systems]
-        return complex(sum(w * sols[k][j] for k, j, w in weights))
-
-    return evaluate
+    return _pointwise([partial(system.add, lv) for system, lv in zip(systems, levels)])
 
 
 class _LpsSystem:
     """Per-type processor-sharing system; entry j maps to the tagged job's
-    start state (in service if j <= mpl, else waiting at position j)."""
+    start state (in service if j <= mpl, else waiting at position j).
+
+    The matrix is stored without s, which only adds to its diagonal.
+    """
 
     def __init__(self, mu, a, mpl):
-        self.mu, self.a, self.m = mu, a, int(mpl)
-        self.b = len(mu) - 1
-        self.index = {}
-        for j in range(1, self.b + 1):
-            self.index[(1, j)] = len(self.index)
-        for j in range(self.m + 1, self.b + 1):
-            for i in range(self.m + 1, j + 1):
-                self.index[(i, j)] = len(self.index)
-
-    def solve(self, s):
-        mu, a, m, b = self.mu, self.a, self.m, self.b
-        n = len(self.index)
-        mat = np.zeros((n, n), dtype=complex)
-        rhs = np.zeros(n, dtype=complex)
-        for (i, j), row in self.index.items():
-            mat[row][row] = s + a[j] + mu[j]
+        m = int(mpl)
+        b = len(mu) - 1
+        index = {}
+        for j in range(1, b + 1):
+            index[(1, j)] = len(index)
+        for j in range(m + 1, b + 1):
+            for i in range(m + 1, j + 1):
+                index[(i, j)] = len(index)
+        n = len(index)
+        mat = np.zeros((n, n))
+        rhs = np.zeros(n)
+        for (i, j), row in index.items():
+            mat[row][row] = a[j] + mu[j]
             if j < b:
-                mat[row][self.index[(i, j + 1)]] -= a[j]
+                mat[row][index[(i, j + 1)]] -= a[j]
             if i == 1:
                 share = m if j >= m else j
                 if j > 1:
-                    mat[row][self.index[(1, j - 1)]] -= mu[j] * (share - 1) / share
+                    mat[row][index[(1, j - 1)]] -= mu[j] * (share - 1) / share
                 rhs[row] = mu[j] / share
             elif i == m + 1:
-                mat[row][self.index[(1, j - 1)]] -= mu[j]
+                mat[row][index[(1, j - 1)]] -= mu[j]
             else:
-                mat[row][self.index[(i - 1, j - 1)]] -= mu[j]
-        sol = np.linalg.solve(mat, rhs)
-        out = {}
-        for j in range(1, b + 1):
-            key = (1, j) if j <= m else (j, j)
-            out[j] = sol[self.index[key]]
-        return out
+                mat[row][index[(i - 1, j - 1)]] -= mu[j]
+        self.mat, self.rhs = mat, rhs
+        self.entry = {j: index[(1, j) if j <= m else (j, j)] for j in range(1, b + 1)}
+
+    def add(self, levels, s, acc):
+        """Solve at every point of the 1-D complex array ``s`` with one
+        stacked solve, and add the entry-weighted solutions into ``acc``.
+        The stack holds len(s) dense n x n matrices."""
+        n = len(self.rhs)
+        mats = np.empty((len(s), n, n), dtype=complex)
+        mats[:] = self.mat
+        diag = np.arange(n)
+        mats[:, diag, diag] += s[:, None]
+        sol = np.linalg.solve(mats, self.rhs)
+        for j, w in levels.items():
+            acc += w * sol[:, self.entry[j]]

@@ -11,6 +11,44 @@ def closed_form_b5(s):
     return (24 * s + 65) ** 4 / (5 * (2 * s + 5) ** 3 * (10 * s + 13) ** 4)
 
 
+def reference_transform(spec, policy, rep, s):
+    """The transform at one point s from the full per-type tables, built one
+    complex entry at a time."""
+    tables = []
+    for k, t in enumerate(spec.types):
+        mu = t.curve.rates
+        b = t.buffer
+        h = np.zeros((b + 1, b + 2), dtype=complex)
+        h[0, :] = 1.0
+        if rep.regime == "jsq":
+            wb, i0 = (spec.lam - rep.z0) / rep.y0, rep.i0
+            for i in range(1, b + 1):
+                for j in range(b, max(i0, i) - 1, -1):
+                    h[i][j] = mu[j] / (s + mu[j]) * h[i - 1][j - 1]
+                if i <= i0 - 1:
+                    num = wb * h[i][i0] + mu[i0 - 1] * h[i - 1][i0 - 1]
+                    h[i][i0 - 1] = num / (s + wb + mu[i0 - 1])
+                    for j in range(i0 - 2, i - 1, -1):
+                        h[i][j] = h[i][j + 1]
+        else:
+            a = systemtime._arrival_rates(spec, policy, rep)[k]
+            for i in range(1, b + 1):
+                for j in range(b, i - 1, -1):
+                    num = mu[j] * h[i - 1][j - 1]
+                    if j < b:
+                        num += a[j] * h[i][j + 1]
+                    h[i][j] = num / (s + a[j] + mu[j])
+        tables.append(h)
+    weights = systemtime.sojourn_weights(spec, policy, rep)
+    return complex(sum(w * tables[k][j][j] for k, j, w in weights))
+
+
+def sample_points(rng, shape):
+    s = rng.uniform(0, 5, shape) + 1j * rng.uniform(-5, 5, shape)
+    s.flat[:3] = (0.0, 1e-6, -1e-6)
+    return s
+
+
 def test_constant_rate_means_are_position_over_rate():
     spec = ClusterSpec(lam=0.7, types=(
         ServerType(1.0, ServiceRateCurve.from_mu([1.3] * 6)),))
@@ -29,6 +67,26 @@ def test_closed_form_transform(b5_spec):
     for _ in range(20):
         s = complex(rng.uniform(0, 5), rng.uniform(-5, 5))
         assert abs(ev(s) - closed_form_b5(s)) <= 1e-9 * abs(closed_form_b5(s))
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label())
+def test_transform_on_arrays_matches_reference(b5_spec, hom_spec, het_spec, policy):
+    """Covers the continuous, jiq/jsq critical, jiq supercritical and
+    two-level jsq regimes; lam 0.95 and 1.0 sit below and at sum(gamma*mu(1))."""
+    specs = (b5_spec, hom_spec, het_spec,
+             ClusterSpec(lam=0.95, types=hom_spec.types),
+             ClusterSpec(lam=1.0, types=hom_spec.types))
+    s = sample_points(np.random.default_rng(21), (4, 5))
+    for spec in specs:
+        rep = stationary.solve(spec, policy)
+        ev = systemtime.transform(spec, policy, rep)
+        got = ev(s)
+        assert got.shape == s.shape
+        want = np.array([[reference_transform(spec, policy, rep, x) for x in row]
+                         for row in s])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), rep.regime
+        one = ev(complex(s[1, 2]))
+        assert type(one) is complex and abs(one - got[1, 2]) <= 1e-13 * abs(one)
 
 
 def test_jsq_weights_touch_only_boundary_levels(hom_spec):
@@ -101,6 +159,18 @@ def test_density_inversion_flags_clean(b5_spec):
     assert res.mass() == pytest.approx(1.0 - rep.loss_prob, abs=1e-3)
 
 
+def test_density_matches_mpmath_oracle(b5_spec):
+    mpmath = pytest.importorskip("mpmath")
+    rep = stationary.solve_jsq(b5_spec)
+    dist = systemtime.distribution(b5_spec, Policy("jsq"), rep)
+    ts = np.array([0.05, 0.3, 1.0, 2.5, 5.0, 10.0, 20.0, 30.0])
+    got = dist.density(ts, normalized=False).density
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.invertlaplace(closed_form_b5, t, method="talbot"))
+                         for t in ts])
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
 def test_jsq_density_vanishes_at_zero(b5_spec):
     rep = stationary.solve_jsq(b5_spec)
     dist = systemtime.distribution(b5_spec, Policy("jsq"), rep)
@@ -127,6 +197,19 @@ def test_lps_mpl_one_reduces_to_fifo():
     for _ in range(10):
         s = complex(rng.uniform(0, 4), rng.uniform(-4, 4))
         assert abs(lps(s) - fifo(s)) < 1e-12
+
+
+@pytest.mark.parametrize("policy", [Policy("random"), Policy("jsqd", d=2), Policy("jbt")],
+                         ids=lambda p: p.label())
+def test_lps_on_arrays_matches_pointwise(hom_spec, het_spec, policy):
+    s = sample_points(np.random.default_rng(22), 12)
+    for spec in (hom_spec, het_spec):
+        rep = stationary.solve(spec, policy)
+        lps = systemtime.mean_sojourn_lps(spec, policy, rep)
+        got = lps(s)
+        want = np.array([lps(complex(x)) for x in s])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert type(lps(1j)) is complex
 
 
 def test_lps_mean_is_discipline_independent(hom_spec):
