@@ -92,6 +92,19 @@ def f_jsq(x: Occupancy) -> DispatchField:
     return DispatchField(tuple(parts), float(loss))
 
 
+def jsqd_bracket(parts, d: int):
+    """Mass m[i] at each queue length over all types, and the chance
+    z[i]**d - z[i+1]**d that the best of d draws sits at length i, with z the
+    tail masses. ``parts`` are non-negative per-type occupancies."""
+    max_b = max(len(p) - 1 for p in parts)
+    m = np.zeros(max_b + 1)
+    for p in parts:
+        m[: len(p)] += p
+    z = np.zeros(max_b + 2)
+    z[: max_b + 1] = m[::-1].cumsum()[::-1]
+    return m, z[: max_b + 1] ** d - z[1:] ** d
+
+
 def f_jsqd_limit(x: Occupancy, d: int) -> DispatchField:
     """Large-cluster limit of uniformly sampling d queues and joining the shortest.
 
@@ -104,13 +117,7 @@ def f_jsqd_limit(x: Occupancy, d: int) -> DispatchField:
     if d == 1:
         return f_random(x)
     xs = _clipped(x)
-    max_b = max(len(p) - 1 for p in xs)
-    m = np.zeros(max_b + 1)
-    for p in xs:
-        m[: len(p)] += p
-    z = np.zeros(max_b + 2)
-    z[: max_b + 1] = m[::-1].cumsum()[::-1]
-    bracket = z[: max_b + 1] ** d - z[1:] ** d
+    m, bracket = jsqd_bracket(xs, d)
     parts, loss = _zero_parts(xs), 0.0
     for q, p in zip(parts, xs):
         b = len(p) - 1

@@ -46,17 +46,6 @@ def rhs(v: Occupancy, spec: ClusterSpec, policy: Policy):
     return _deriv(spec, v.parts, dispatch.field(v, spec, policy))
 
 
-def project_simplex(v, total: float):
-    """Euclidean projection onto {x >= 0, sum x = total}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    rho = ks[cond][-1]
-    tau = css[rho - 1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
 def _support(f):
     return tuple((fp > 1e-12).tobytes() for fp in f.parts)
 

@@ -310,20 +310,6 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     )
 
 
-def sojourn_mean(result: SimResult, t_from=None, t_to=None) -> float:
-    """Mean sojourn of jobs arriving in [t_from, t_to] that departed by the
-    horizon. Defaults to the second half of the run; pass a ``t_to`` a few
-    tail lengths before the horizon to avoid censoring long sojourns."""
-    if t_from is None:
-        t_from = result.horizon / 2
-    if t_to is None:
-        t_to = result.horizon
-    mask = (result.arrival_time >= t_from) & (result.arrival_time <= t_to)
-    if not mask.any():
-        raise ValueError("no departures in the requested window")
-    return float((result.departure_time[mask] - result.arrival_time[mask]).mean())
-
-
 def replication_seeds(seed, r: int):
     return np.random.SeedSequence(seed).spawn(r)
 

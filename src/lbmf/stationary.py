@@ -49,23 +49,6 @@ class StationaryReport:
         }
 
 
-def report_document(spec: ClusterSpec, policy: Policy, report: StationaryReport) -> dict:
-    """Self-describing report: the generating configuration plus the solution."""
-    doc = {
-        "lambda": spec.lam,
-        "types": [
-            {"gamma": t.gamma, "mu": list(t.curve.rates[1:]),
-             **({"mpl": t.mpl} if t.mpl is not None else {})}
-            for t in spec.types
-        ],
-        "policy": {"kind": policy.kind,
-                   **({"d": policy.d} if policy.d is not None else {}),
-                   **({"p": policy.control} if policy.control != 1.0 else {})},
-    }
-    doc.update(report.to_dict())
-    return doc
-
-
 def _damped_fixed_point(g, x0, damping=FP_DAMPING, tol=FP_TOL, max_iter=FP_MAX_ITER):
     """Iterate x <- (1-damping) x + damping g(x) until the update stalls below tol.
 
@@ -220,12 +203,8 @@ def _solve_jiq_supercritical(spec) -> StationaryReport:
 
     crit = _jiq_critical_rate(spec)
     z0 = float(_damped_fixed_point(g, np.array([0.5 * crit]))[0])
-    r = lam - z0
     parts = []
-    for t, gm in zip(spec.types, gammas):
-        s = np.ones(t.buffer)
-        for i in range(2, t.buffer + 1):
-            s[i - 1] = s[i - 2] * r / t.curve.rates[i]
+    for t, gm, s in zip(spec.types, gammas, shapes(lam - z0)):
         v = np.zeros(t.buffer + 1)
         v[1:] = gm * s / s.sum()
         parts.append(v)
@@ -320,16 +299,10 @@ def solve_jsqd(spec: ClusterSpec, d: int, tol: float = 1e-10) -> StationaryRepor
         rep = solve_random(spec)
         return StationaryReport(rep.nu, "jsqd", rep.loss_prob, rep.lambda_eff)
     lam = spec.lam
-    max_b = max(spec.buffers)
 
     def g(flat):
         nu = Occupancy.from_flat(spec, np.maximum(flat, 0.0))
-        m = np.zeros(max_b + 1)
-        for p in nu.parts:
-            m[: len(p)] += p
-        z = np.zeros(max_b + 2)
-        z[: max_b + 1] = m[::-1].cumsum()[::-1]
-        bracket = z[: max_b + 1] ** d - z[1:] ** d
+        m, bracket = dispatch.jsqd_bracket(nu.parts, d)
         with np.errstate(divide="ignore", invalid="ignore"):
             beta = np.where(m > 0, lam * bracket / m, 0.0)
         parts = []

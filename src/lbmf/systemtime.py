@@ -1,13 +1,22 @@
 """System-time (sojourn) analysis in the stationary regime.
 
 Follows a tagged job at position i of a queue holding j jobs. Watching for
-the next change in that queue gives, per server type, a triangular system
-for the mean remaining times H[i, j], and the same system over Laplace
-transforms for the full distribution. The per-queue arrival rate depends on
-the regime: the stationary dispatch field for continuous policies, the
-residual rate ``lam - z0`` where a refill boundary exists, and zero above
-levels that receive no arrivals. Entry weights mirror how arriving jobs are
-spread over queue lengths; their total is the admitted fraction.
+the next change in that queue gives, per server type, one triangular
+recursion
+
+    H[i, j] = (c + mu[j] H[i-1, max(j-1, lo)] + a[j] H[i, j+1]) / (s + a[j] + mu[j])
+
+with c = 1, s = 0 and H[0, .] = 0 for the mean remaining times, and c = 0
+and H[0, .] = 1 for their Laplace transforms at s. A regime enters only as
+data: the arrival rates a[j] seen by a single queue and a floor level lo.
+Continuous policies take a from the stationary dispatch field; the critical
+regimes have no arrivals; supercritical JIQ sees the residual rate
+``lam - z0`` on every level below the buffer. Two-level JSQ sees
+``(lam - z0) / y0`` only at its lower level i0 - 1, which is also its floor:
+a completion there is refilled at once, so shorter queues are never
+reached. Every other regime has lo = 0, and the buffer level never receives
+arrivals. Entry weights mirror how arriving jobs are spread over queue
+lengths; their total is the admitted fraction.
 
 ``mean_sojourn_lps`` covers limited processor sharing, where up to ``mpl``
 jobs split a server's capacity evenly: positions in service are
@@ -43,193 +52,118 @@ def _check_regime(policy: Policy, report: StationaryReport):
         raise ValueError(f"report regime {regime!r} does not match policy {kind!r}")
 
 
-def _arrival_rates(spec, policy, report):
-    """Per-type, per-length arrival rate seen by a single queue.
+@dataclass(frozen=True)
+class _Queue:
+    """One server type as the recursion sees it: service rates ``mu`` and
+    arrival rates ``a`` indexed by queue length 0..B, the floor level ``lo``,
+    and ``levels`` mapping an entry length j to its weight (an admitted job
+    starts at position j of a length-j queue)."""
 
-    Index j in 1..B; the buffer level never receives arrivals. Returns None
-    entries where the regime needs its own assembly.
-    """
+    mu: tuple
+    a: list
+    lo: int
+    levels: dict
+
+
+def _queues(spec, policy, report):
+    """Per-type recursion inputs in the report's regime; the weights over
+    all types sum to one minus the loss."""
     regime = report.regime
+    lam, z0 = spec.lam, report.z0
     if regime in CONTINUOUS_REGIMES:
         f = dispatch.field(report.nu, spec, policy)
-        rates = []
-        for t, fp, np_ in zip(spec.types, f.parts, report.nu.parts):
-            a = np.zeros(t.buffer + 1)
-            for j in range(1, t.buffer):
-                fj, nj = fp[j], np_[j]
-                if nj > RATE_FLOOR:
-                    a[j] = spec.lam * fj / nj
-                elif fj > RATE_FLOOR:
+    elif regime not in ("jiq-critical", "jsq-critical", "jiq-supercritical", "jsq"):
+        raise ValueError(f"unknown regime {regime!r}")
+    queues = []
+    for k, (t, p) in enumerate(zip(spec.types, report.nu.parts)):
+        b, mu = t.buffer, t.curve.rates
+        a, lo = [0.0] * (b + 1), 0
+        if regime in CONTINUOUS_REGIMES:
+            fp = f.parts[k]
+            for j in range(1, b):
+                if p[j] > RATE_FLOOR:
+                    a[j] = lam * float(fp[j]) / float(p[j])
+                elif fp[j] > RATE_FLOOR:
                     raise ValueError(
                         f"dispatch mass on level {j} with no stationary mass; "
                         "the continuous assembly does not apply"
                     )
-            rates.append(a)
-        return rates
-    if regime in ("jiq-critical", "jsq-critical"):
-        return [np.zeros(t.buffer + 1) for t in spec.types]
-    if regime == "jiq-supercritical":
-        rates = []
-        for t in spec.types:
-            a = np.full(t.buffer + 1, spec.lam - report.z0)
-            a[0] = 0.0
-            a[t.buffer] = 0.0
-            rates.append(a)
-        return rates
-    if regime == "jsq":
-        return None  # dedicated assembly below
-    raise ValueError(f"unknown regime {report.regime!r}")
+            levels = {j: float(fp[j - 1]) for j in range(1, b + 1) if fp[j - 1]}
+        elif regime == "jsq":
+            lo = report.i0 - 1
+            a[lo] = (lam - z0) / report.y0
+            levels = {lo: mu[lo] * float(p[lo]) / lam,
+                      lo + 1: (1.0 - z0 / lam) * float(p[lo]) / report.y0}
+        else:  # jiq/jsq critical and jiq supercritical: idle servers refill at once
+            levels = {1: mu[1] * float(p[1]) / lam}
+            if regime == "jiq-supercritical":
+                a[1:b] = [lam - z0] * (b - 1)
+                rest = 1.0 - z0 / lam
+                levels.update({j: w for j in range(2, b + 1)
+                               if (w := rest * float(p[j - 1]))})
+        queues.append(_Queue(mu, a, lo, levels))
+    return queues
 
 
-def _entry_weights(spec, policy, report):
-    """Weight of each entry state (k, j): an admitted job starts at position j
-    of a type-k queue of length j. Weights sum to one minus the loss."""
-    regime = report.regime
-    out = []
-    if regime in CONTINUOUS_REGIMES:
-        f = dispatch.field(report.nu, spec, policy)
-        for k, (t, fp) in enumerate(zip(spec.types, f.parts)):
-            for j in range(1, t.buffer + 1):
-                w = float(fp[j - 1])
-                if w:
-                    out.append((k, j, w))
-        return out
-    if regime in ("jiq-critical", "jsq-critical"):
-        for k, t in enumerate(spec.types):
-            w = t.curve.rates[1] * float(report.nu.parts[k][1]) / spec.lam
-            out.append((k, 1, w))
-        return out
-    if regime == "jiq-supercritical":
-        rest = 1.0 - report.z0 / spec.lam
-        for k, t in enumerate(spec.types):
-            p = report.nu.parts[k]
-            out.append((k, 1, t.curve.rates[1] * float(p[1]) / spec.lam))
-            for j in range(2, t.buffer + 1):
-                w = rest * float(p[j - 1])
-                if w:
-                    out.append((k, j, w))
-        return out
-    if regime == "jsq":
-        i0, y0 = report.i0, report.y0
-        rest = 1.0 - report.z0 / spec.lam
-        for k, t in enumerate(spec.types):
-            p = report.nu.parts[k]
-            out.append((k, i0 - 1, t.curve.rates[i0 - 1] * float(p[i0 - 1]) / spec.lam))
-            out.append((k, i0, rest * float(p[i0 - 1]) / y0))
-        return out
-    raise ValueError(f"unknown regime {report.regime!r}")
+def _rows(q: _Queue, c, first, s):
+    """Run the recursion for one type, yielding (i, row) once row i is final.
 
-
-def _mean_table(mu, a):
-    """Back-substitute the one-step system for the means of one type.
-
-    ``mu`` and ``a`` are indexed by queue length 0..B; row i=0 is the
-    zero boundary (a served job has no remaining time).
+    ``row[j]`` then holds H[i, j] for max(i, lo) <= j <= B; lower entries are
+    left over from earlier rows. One row is overwritten going down in j:
+    H[i, j] reads H[i-1, max(j-1, lo)], not yet overwritten, and H[i, j+1],
+    already new; ``row[B + 1]`` is a zero pad, since a[B] = 0. Entries are
+    floats for a float ``s`` and arrays over the points of an array ``s``.
     """
+    mu, a, lo = q.mu, q.a, q.lo
     b = len(mu) - 1
-    h = np.zeros((b + 1, b + 2))
+    den = [s + a[j] + mu[j] for j in range(b + 1)]
+    row = [first] * (b + 1) + [0.0]
     for i in range(1, b + 1):
-        for j in range(b, i - 1, -1):
-            num = 1.0 + mu[j] * h[i - 1][j - 1]
-            if j < b:
-                num += a[j] * h[i][j + 1]
-            h[i][j] = num / (a[j] + mu[j])
-    return h
+        for j in range(b, max(i, lo) - 1, -1):
+            row[j] = (c + mu[j] * row[max(j - 1, lo)] + a[j] * row[j + 1]) / den[j]
+        yield i, row
 
 
-def _add_laplace(mu, a, levels, s, acc):
-    """Same recursion over Laplace transforms, at every point of the 1-D
-    complex array ``s``; adds the entry-weighted diagonal into ``acc``.
-
-    Only one row of the table is kept, overwritten going down in j: H[i, j]
-    reads H[i-1, j-1], not yet overwritten, and H[i, j+1], already new.
-    ``levels`` maps an entry length j to its weight; H[j, j] is final once
-    row j is done.
-    """
-    b = len(mu) - 1
-    den = s + a[:, None] + mu[:, None]
-    row = np.ones((b + 1, len(s)), dtype=complex)
-    for i in range(1, b + 1):
-        for j in range(b, i - 1, -1):
-            num = mu[j] * row[j - 1]
-            if j < b:
-                num += a[j] * row[j + 1]
-            np.divide(num, den[j], out=row[j])
-        if i in levels:
-            acc += levels[i] * row[i]
-
-
-def _mean_table_jsq(mu, a_boundary, i0):
-    """Means for the two-level regime: below the boundary queues fill back
-    instantly, above it they only drain."""
-    b = len(mu) - 1
-    h = np.zeros((b + 1, b + 2))
-    for i in range(1, b + 1):
-        for j in range(b, max(i0, i) - 1, -1):
-            h[i][j] = 1.0 / mu[j] + h[i - 1][j - 1]
-        if i <= i0 - 1:
-            num = 1.0 + a_boundary * h[i][i0]
-            if i >= 2:
-                num += mu[i0 - 1] * h[i - 1][i0 - 1]
-            h[i][i0 - 1] = num / (a_boundary + mu[i0 - 1])
-            for j in range(i0 - 2, i - 1, -1):
-                h[i][j] = h[i][j + 1]
-    return h
-
-
-def _add_laplace_jsq(mu, a_boundary, i0, levels, s, acc):
-    """Transform counterpart of ``_mean_table_jsq``, kept to one row in the
-    same way as ``_add_laplace``."""
-    b = len(mu) - 1
-    drain = mu[1:, None] / (s + mu[1:, None])  # row j - 1 drains length j
-    den = s + a_boundary + mu[i0 - 1]
-    row = np.ones((b + 1, len(s)), dtype=complex)
-    for i in range(1, b + 1):
-        for j in range(b, max(i0, i) - 1, -1):
-            np.multiply(drain[j - 1], row[j - 1], out=row[j])
-        if i <= i0 - 1:
-            num = a_boundary * row[i0] + mu[i0 - 1] * row[i0 - 1]
-            np.divide(num, den, out=row[i0 - 1])
-            row[i:i0 - 1] = row[i0 - 1]
-        if i in levels:
-            acc += levels[i] * row[i]
+def _weights(queues):
+    return [(k, j, w) for k, q in enumerate(queues) for j, w in q.levels.items()]
 
 
 def sojourn_weights(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     """Expose the entry weights (k, entry length, weight) for inspection."""
     _check_regime(policy, report)
-    return _entry_weights(spec, policy, report)
+    return _weights(_queues(spec, policy, report))
 
 
 def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
-    """Mean system time of admitted jobs, plus the per-type H tables."""
+    """Mean system time of admitted jobs, plus the per-type H tables.
+
+    Table k has shape (B+1, B+2). Entry [i, j] is the mean remaining time of
+    a job at position i of a length-j queue, defined for max(i, lo) <= j <= B
+    with lo = i0 - 1 in the two-level jsq regime and 0 otherwise; every other
+    entry is zero.
+    """
     _check_regime(policy, report)
-    tables = _tables_mean(spec, policy, report)
-    weights = _entry_weights(spec, policy, report)
+    queues = _queues(spec, policy, report)
+    tables = []
+    for q in queues:
+        b = len(q.mu) - 1
+        h = np.zeros((b + 1, b + 2))
+        for i, row in _rows(q, 1.0, 0.0, 0.0):
+            start = max(i, q.lo)
+            h[i, start:b + 1] = row[start:b + 1]
+        tables.append(h)
+    weights = _weights(queues)
     total = sum(w for _, _, w in weights)
     mean = sum(w * tables[k][j][j] for k, j, w in weights) / total
     return float(mean), tables
 
 
-def _tables_mean(spec, policy, report):
-    if report.regime == "jsq":
-        w = (spec.lam - report.z0) / report.y0
-        return [
-            _mean_table_jsq(np.asarray(t.curve.rates), w, report.i0)
-            for t in spec.types
-        ]
-    rates = _arrival_rates(spec, policy, report)
-    return [
-        _mean_table(np.asarray(t.curve.rates), a) for t, a in zip(spec.types, rates)
-    ]
-
-
-def _levels(spec, weights):
-    """Entry weights per type, as {entry length: weight}."""
-    levels = [{} for _ in spec.types]
-    for k, j, w in weights:
-        levels[k][j] = levels[k].get(j, 0.0) + w
-    return levels
+def _add_transform(q: _Queue, s, acc):
+    """Add the entry-weighted diagonal H[j, j] of the transform recursion at
+    the 1-D complex points ``s`` into ``acc``; H[j, j] is final after row j."""
+    for i, row in _rows(q, 0.0, 1.0, s):
+        if i in q.levels:
+            acc += q.levels[i] * row[i]
 
 
 def _pointwise(parts):
@@ -262,18 +196,7 @@ def transform(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     loss probability; divide by that mass for the proper density.
     """
     _check_regime(policy, report)
-    levels = _levels(spec, _entry_weights(spec, policy, report))
-    mus = [np.asarray(t.curve.rates) for t in spec.types]
-    if report.regime == "jsq":
-        wb = (spec.lam - report.z0) / report.y0
-        return _pointwise([
-            partial(_add_laplace_jsq, mu, wb, report.i0, lv)
-            for mu, lv in zip(mus, levels)
-        ])
-    rates = _arrival_rates(spec, policy, report)
-    return _pointwise([
-        partial(_add_laplace, mu, a, lv) for mu, a, lv in zip(mus, rates, levels)
-    ])
+    return _pointwise([partial(_add_transform, q) for q in _queues(spec, policy, report)])
 
 
 @dataclass
@@ -355,13 +278,9 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
     for k, t in enumerate(spec.types):
         if t.mpl is None:
             raise ValueError(f"lps requires mpl on every type; type {k} has none")
-    rates = _arrival_rates(spec, policy, report)
-    levels = _levels(spec, _entry_weights(spec, policy, report))
-    systems = [
-        _LpsSystem(np.asarray(t.curve.rates), a, t.mpl)
-        for t, a in zip(spec.types, rates)
-    ]
-    return _pointwise([partial(system.add, lv) for system, lv in zip(systems, levels)])
+    queues = _queues(spec, policy, report)
+    systems = [_LpsSystem(q.mu, q.a, t.mpl) for q, t in zip(queues, spec.types)]
+    return _pointwise([partial(system.add, q.levels) for system, q in zip(systems, queues)])
 
 
 class _LpsSystem:

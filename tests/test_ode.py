@@ -43,13 +43,6 @@ def test_zero_arrivals_constant_trajectory(hom_spec):
     assert np.all(traj.parts[0][:, 0] == 1.0)
 
 
-def test_projection():
-    v = ode.project_simplex(np.array([0.6, 0.5, -0.1]), 1.0)
-    assert v.min() >= 0 and v.sum() == pytest.approx(1.0)
-    w = np.array([0.25, 0.25, 0.5])
-    assert np.allclose(ode.project_simplex(w, 1.0), w)
-
-
 def test_mass_conserved_along_trajectory(het_spec):
     traj = ode.integrate(Occupancy.empty(het_spec), het_spec, Policy("jsq"),
                          horizon=15, dt=0.005, sample_interval=0.5)

@@ -182,13 +182,3 @@ def test_report_serialization(hom_spec):
     assert doc["i0"] == 4 and doc["regime"] == "jsq"
     assert doc["nu"][0][3] == pytest.approx(0.5)
     assert set(doc) == {"regime", "nu", "z0", "i0", "y0", "loss_prob", "lambda_eff"}
-
-
-def test_report_document_mirrors_config(hom_spec):
-    rep = stationary.solve_jsq(hom_spec)
-    doc = json.loads(json.dumps(
-        stationary.report_document(hom_spec, Policy("jsq"), rep)))
-    assert doc["lambda"] == 1.25
-    assert doc["types"][0]["mpl"] == 5 and len(doc["types"][0]["mu"]) == 10
-    assert doc["policy"] == {"kind": "jsq"}
-    assert doc["loss_prob"] == 0.0 and doc["i0"] == 4

@@ -11,6 +11,38 @@ def closed_form_b5(s):
     return (24 * s + 65) ** 4 / (5 * (2 * s + 5) ** 3 * (10 * s + 13) ** 4)
 
 
+def reference_means(spec, policy, rep):
+    """The per-type mean tables, one entry at a time; the two-level jsq
+    regime fills back instantly below its boundary and only drains above."""
+    tables = []
+    for k, t in enumerate(spec.types):
+        mu = t.curve.rates
+        b = t.buffer
+        h = np.zeros((b + 1, b + 2))
+        if rep.regime == "jsq":
+            wb, i0 = (spec.lam - rep.z0) / rep.y0, rep.i0
+            for i in range(1, b + 1):
+                for j in range(b, max(i0, i) - 1, -1):
+                    h[i][j] = 1.0 / mu[j] + h[i - 1][j - 1]
+                if i <= i0 - 1:
+                    num = 1.0 + wb * h[i][i0]
+                    if i >= 2:
+                        num += mu[i0 - 1] * h[i - 1][i0 - 1]
+                    h[i][i0 - 1] = num / (wb + mu[i0 - 1])
+                    for j in range(i0 - 2, i - 1, -1):
+                        h[i][j] = h[i][j + 1]
+        else:
+            a = systemtime._queues(spec, policy, rep)[k].a
+            for i in range(1, b + 1):
+                for j in range(b, i - 1, -1):
+                    num = 1.0 + mu[j] * h[i - 1][j - 1]
+                    if j < b:
+                        num += a[j] * h[i][j + 1]
+                    h[i][j] = num / (a[j] + mu[j])
+        tables.append(h)
+    return tables
+
+
 def reference_transform(spec, policy, rep, s):
     """The transform at one point s from the full per-type tables, built one
     complex entry at a time."""
@@ -31,7 +63,7 @@ def reference_transform(spec, policy, rep, s):
                     for j in range(i0 - 2, i - 1, -1):
                         h[i][j] = h[i][j + 1]
         else:
-            a = systemtime._arrival_rates(spec, policy, rep)[k]
+            a = systemtime._queues(spec, policy, rep)[k].a
             for i in range(1, b + 1):
                 for j in range(b, i - 1, -1):
                     num = mu[j] * h[i - 1][j - 1]
@@ -41,6 +73,24 @@ def reference_transform(spec, policy, rep, s):
         tables.append(h)
     weights = systemtime.sojourn_weights(spec, policy, rep)
     return complex(sum(w * tables[k][j][j] for k, j, w in weights))
+
+
+def assert_means_match_reference(spec, policy, rep):
+    """Defined entries (max(i, lo) <= j) match the reference to 1e-14
+    relative, the rest are zero, and so does the weighted mean."""
+    mean, tables = systemtime.mean_sojourn(spec, policy, rep)
+    want = reference_means(spec, policy, rep)
+    lo = rep.i0 - 1 if rep.regime == "jsq" else 0
+    for h, ref in zip(tables, want):
+        assert h.shape == ref.shape
+        i, j = np.indices(h.shape)
+        defined = (i >= 1) & (j >= np.maximum(i, lo)) & (j < h.shape[0])
+        assert np.all(np.abs(h - ref)[defined] <= 1e-14 * np.abs(ref[defined])), rep.regime
+        assert not h[~defined].any()
+    weights = systemtime.sojourn_weights(spec, policy, rep)
+    ref_mean = (sum(w * want[k][j][j] for k, j, w in weights)
+                / sum(w for _, _, w in weights))
+    assert mean == pytest.approx(ref_mean, rel=1e-14)
 
 
 def sample_points(rng, shape):
@@ -69,24 +119,52 @@ def test_closed_form_transform(b5_spec):
         assert abs(ev(s) - closed_form_b5(s)) <= 1e-9 * abs(closed_form_b5(s))
 
 
+def assert_transform_matches_reference(spec, policy, rep, s):
+    ev = systemtime.transform(spec, policy, rep)
+    got = ev(s)
+    assert got.shape == s.shape
+    want = np.vectorize(lambda x: reference_transform(spec, policy, rep, x))(s)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), rep.regime
+    one = ev(complex(s.flat[5]))
+    assert type(one) is complex and abs(one - got.flat[5]) <= 1e-13 * abs(one)
+
+
+def reference_specs(b5_spec, hom_spec, het_spec):
+    """Cover the continuous, jiq/jsq critical, jiq supercritical and two-level
+    jsq regimes; lam 0.95 and 1.0 sit below and at sum(gamma*mu(1))."""
+    return (b5_spec, hom_spec, het_spec,
+            ClusterSpec(lam=0.95, types=hom_spec.types),
+            ClusterSpec(lam=1.0, types=hom_spec.types))
+
+
 @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label())
 def test_transform_on_arrays_matches_reference(b5_spec, hom_spec, het_spec, policy):
-    """Covers the continuous, jiq/jsq critical, jiq supercritical and
-    two-level jsq regimes; lam 0.95 and 1.0 sit below and at sum(gamma*mu(1))."""
-    specs = (b5_spec, hom_spec, het_spec,
-             ClusterSpec(lam=0.95, types=hom_spec.types),
-             ClusterSpec(lam=1.0, types=hom_spec.types))
     s = sample_points(np.random.default_rng(21), (4, 5))
-    for spec in specs:
+    for spec in reference_specs(b5_spec, hom_spec, het_spec):
         rep = stationary.solve(spec, policy)
-        ev = systemtime.transform(spec, policy, rep)
-        got = ev(s)
-        assert got.shape == s.shape
-        want = np.array([[reference_transform(spec, policy, rep, x) for x in row]
-                         for row in s])
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), rep.regime
-        one = ev(complex(s[1, 2]))
-        assert type(one) is complex and abs(one - got[1, 2]) <= 1e-13 * abs(one)
+        assert_transform_matches_reference(spec, policy, rep, s)
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label())
+def test_means_match_reference(b5_spec, hom_spec, het_spec, policy):
+    for spec in reference_specs(b5_spec, hom_spec, het_spec):
+        rep = stationary.solve(spec, policy)
+        assert_means_match_reference(spec, policy, rep)
+
+
+@pytest.mark.parametrize("cluster,lam,regime,i0", [
+    ("hom", 1.05, "jsq", 2), ("hom", 1.25, "jsq", 4), ("hom", 1.35, "jsq", 5),
+    ("hom", 1.45, "jsq", 6), ("het", 0.5, "jsq-subcritical", 1),
+    ("het", 0.9, "jsq-subcritical", 1)])
+def test_jsq_regimes_match_reference(hom_spec, het_spec, cluster, lam, regime, i0):
+    """The floor of the two-level regime at every boundary level i0 - 1 the
+    homogeneous cluster reaches, and two types below the critical load."""
+    spec = ClusterSpec(lam=lam, types=(hom_spec if cluster == "hom" else het_spec).types)
+    rep = stationary.solve_jsq(spec)
+    assert (rep.regime, rep.i0) == (regime, i0)
+    assert_means_match_reference(spec, Policy("jsq"), rep)
+    s = sample_points(np.random.default_rng(23), 12)
+    assert_transform_matches_reference(spec, Policy("jsq"), rep, s)
 
 
 def test_jsq_weights_touch_only_boundary_levels(hom_spec):
