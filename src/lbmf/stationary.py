@@ -1,17 +1,21 @@
 """Stationary occupancy of the deterministic limit, per policy.
 
-Random assignment has a closed form. JIQ and JSQ concentrate on one or two
-queue lengths and, past their critical loads, sit at a discontinuity of the
-dispatch field: there the usual balance equations gain a refill term ``z0``,
-the service rate at the boundary level that is matched instantly by new
-arrivals. JSQ(d) and JBT are solved as fixed points of their balance
+Random assignment has a closed form. JIQ, JSQ and JBT each reduce to one
+monotone scalar balance, solved by ``_bisect`` until its bracket stops
+shrinking. Below a covering capacity, JSQ holds its mass on lengths i0 - 1
+and i0 (``_two_level``, balanced in w, the arrival rate per server at the
+lower level); subcritical JIQ is that state at i0 = 1. At a covering
+capacity all mass sits at i0 (``_critical``) and every completion there is
+refilled at once, so the refill rate ``z0`` is the load. Supercritical JIQ
+balances its refill rate ``z0`` at length 1, and JBT its mass y below the
+thresholds. Only JSQ(d) iterates a fixed point, of its vector balance
 equations. Every solver returns a StationaryReport with the distribution,
 regime tag, loss probability and per-type effective arrival rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,22 +81,24 @@ def _damped_fixed_point(g, x0, damping=FP_DAMPING, tol=FP_TOL, max_iter=FP_MAX_I
     return x
 
 
-def _lambda_eff_continuous(spec, policy, nu):
-    f = dispatch.field(nu, spec, policy)
-    return tuple(
-        spec.lam * float(fp.sum()) / t.gamma for t, fp in zip(spec.types, f.parts)
-    )
+def _bisect(f, lo, hi):
+    """Root of f in (lo, hi), where f changes sign once, from negative to
+    positive; f is evaluated at midpoints only. Halves the bracket until its
+    midpoint rounds to one of its ends."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _report_continuous(spec, policy, nu, regime, **extra):
     f = dispatch.field(nu, spec, policy)
-    return StationaryReport(
-        nu=nu,
-        regime=regime,
-        loss_prob=f.loss,
-        lambda_eff=_lambda_eff_continuous(spec, policy, nu),
-        **extra,
-    )
+    lam_eff = tuple(spec.lam * float(fp.sum()) / t.gamma for t, fp in zip(spec.types, f.parts))
+    return StationaryReport(nu=nu, regime=regime, loss_prob=f.loss, lambda_eff=lam_eff, **extra)
 
 
 def _check_supported(spec, policy):
@@ -134,55 +140,71 @@ def solve_random(spec: ClusterSpec) -> StationaryReport:
     return _report_continuous(spec, Policy("random"), nu, "random")
 
 
-def _jiq_critical_rate(spec) -> float:
-    return sum(t.gamma * t.curve.rates[1] for t in spec.types)
+def _capacity(spec, i) -> float:
+    """Service rate per server with every queue at length i, or at its buffer."""
+    return sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in spec.types)
 
 
 def solve_jiq(spec: ClusterSpec) -> StationaryReport:
     """JIQ splits into three regimes against the idle-capacity rate."""
-    crit = _jiq_critical_rate(spec)
+    crit = _capacity(spec, 1)
     if spec.lam < crit - CRITICAL_BAND:
-        nu, y0 = _solve_two_level(spec, level=1)
-        return _report_continuous(spec, Policy("jiq"), nu, "jiq-subcritical", y0=y0)
+        rep = _two_level(spec, 1)
+        return _report_continuous(spec, Policy("jiq"), rep.nu, "jiq-subcritical", y0=rep.y0)
     if spec.lam <= crit + CRITICAL_BAND:
-        parts = []
-        for t in spec.types:
-            v = np.zeros(t.buffer + 1)
-            v[1] = t.gamma
-            parts.append(v)
-        nu = Occupancy(parts)
-        lam_eff = tuple(t.curve.rates[1] for t in spec.types)
-        return StationaryReport(nu, "jiq-critical", 0.0, lam_eff, z0=spec.lam, y0=0.0)
+        return replace(_critical(spec, 1), regime="jiq-critical", i0=None)
     return _solve_jiq_supercritical(spec)
 
 
-def _solve_two_level(spec, level: int):
-    """Mass on lengths {level-1, level}: balance against the share of the lower level.
+def _two_level(spec, i0: int) -> StationaryReport:
+    """Mass on lengths {i0-1, i0}, as a two-level jsq report.
 
-    Used by subcritical JIQ (level 1) and by JSQ when one service level
-    already covers the load.
+    Servers at i0 - 1 receive arrivals at rate w each, so type k keeps
+    p_k = gamma_k mu_k(i0) / (w + mu_k(i0)) at the lower level, and the
+    throughput sum(p_k (w + mu_k(i0-1))) rises in w from the capacity at
+    i0 - 1 to the one at i0; w solves throughput = lam. Also serves
+    subcritical JIQ and JSQ (i0 = 1, where mu(0) = 0).
     """
     lam = spec.lam
-    mus = np.array([t.curve.rates[level] for t in spec.types])
     gammas = spec.gammas()
+    mu_lo = np.array([t.curve.rates[i0 - 1] for t in spec.types])
+    mu_hi = np.array([t.curve.rates[i0] for t in spec.types])
 
-    def g(y):
-        hi = lam * gammas / (mus * y[0] + lam)
-        return np.array([(gammas - hi).sum()])
+    def lower(w):
+        return gammas * mu_hi / (w + mu_hi)
 
-    y0 = float(_damped_fixed_point(g, np.array([0.5]))[0])
-    hi = lam * gammas / (mus * y0 + lam)
+    # throughput >= cap(i0) - sum(gamma mu_hi (mu_hi - mu_lo)) / w bounds the root
+    w_max = float((gammas * mu_hi * (mu_hi - mu_lo)).sum()) / (_capacity(spec, i0) - lam)
+    w = _bisect(lambda w: float((lower(w) * (w + mu_lo)).sum()) - lam, 0.0, w_max)
+    p = lower(w)
     parts = []
-    for t, h in zip(spec.types, hi):
+    for t, gm, pk in zip(spec.types, gammas, p):
         v = np.zeros(t.buffer + 1)
-        v[level] = h
-        v[level - 1] = t.gamma - h
+        v[i0 - 1] = pk
+        v[i0] = gm - pk
         parts.append(v)
-    return Occupancy(parts), y0
+    lam_eff = tuple(p * (mu_lo + w) / gammas)
+    return StationaryReport(Occupancy(parts), "jsq", 0.0, lam_eff,
+                            z0=float((mu_lo * p).sum()), i0=i0, y0=float(p.sum()))
+
+
+def _critical(spec, i0: int) -> StationaryReport:
+    """All mass at length i0, whose capacity equals the load: every
+    completion is refilled at once, so the refill rate z0 is lam."""
+    parts = []
+    for t in spec.types:
+        v = np.zeros(t.buffer + 1)
+        v[i0] = t.gamma
+        parts.append(v)
+    lam_eff = tuple(t.curve.rates[i0] for t in spec.types)
+    return StationaryReport(Occupancy(parts), "jsq-critical", 0.0, lam_eff,
+                            z0=spec.lam, i0=i0, y0=0.0)
 
 
 def _solve_jiq_supercritical(spec) -> StationaryReport:
-    """No idle servers in the limit; solve for the refill rate z0 self-consistently."""
+    """No idle servers in the limit; the refill rate z0 balances the
+    completions at length 1 of the chain that the residual rate lam - z0
+    drives above it."""
     lam = spec.lam
     gammas = spec.gammas()
     mu1 = np.array([t.curve.rates[1] for t in spec.types])
@@ -196,13 +218,11 @@ def _solve_jiq_supercritical(spec) -> StationaryReport:
             out.append(s)
         return out
 
-    def g(z):
-        r = lam - z[0]
-        nu1 = np.array([gm / s.sum() for gm, s in zip(gammas, shapes(r))])
-        return np.array([float((mu1 * nu1).sum())])
+    def excess(z):
+        nu1 = np.array([gm / s.sum() for gm, s in zip(gammas, shapes(lam - z))])
+        return z - float((mu1 * nu1).sum())
 
-    crit = _jiq_critical_rate(spec)
-    z0 = float(_damped_fixed_point(g, np.array([0.5 * crit]))[0])
+    z0 = _bisect(excess, 0.0, _capacity(spec, 1))
     parts = []
     for t, gm, s in zip(spec.types, gammas, shapes(lam - z0)):
         v = np.zeros(t.buffer + 1)
@@ -218,64 +238,28 @@ def _solve_jiq_supercritical(spec) -> StationaryReport:
 
 def jsq_target_level(spec: ClusterSpec) -> int:
     """Smallest queue length whose aggregate service capacity covers the load."""
-    max_b = max(spec.buffers)
-    for i in range(1, max_b + 1):
-        cap = sum(
-            t.gamma * t.curve.rates[min(i, t.buffer)] for t in spec.types
-        )
-        if cap >= spec.lam:
+    for i in range(1, max(spec.buffers) + 1):
+        if _capacity(spec, i) >= spec.lam:
             return i
     raise ValidationError(["stability violated: no queue length covers the load"])
 
 
 def solve_jsq(spec: ClusterSpec) -> StationaryReport:
-    """Mass on the two lengths around the covering level i0."""
-    lam = spec.lam
+    """Mass on the two lengths around the covering level i0, or all of it at
+    i0 when the load equals that level's capacity."""
     i0 = jsq_target_level(spec)
     if any(i0 > b for b in spec.buffers):
         raise ValidationError(
             [f"jsq target level {i0} exceeds the buffer of some type; "
              "unequal buffers this tight are not supported"]
         )
+    if spec.lam > _capacity(spec, i0) - CRITICAL_BAND:
+        return _critical(spec, i0)
+    rep = _two_level(spec, i0)
     if i0 == 1:
-        crit = _jiq_critical_rate(spec)
-        if spec.lam <= crit - CRITICAL_BAND:
-            nu, y0 = _solve_two_level(spec, level=1)
-            return _report_continuous(spec, Policy("jsq"), nu, "jsq-subcritical",
-                                      i0=1, y0=y0)
-        parts = []
-        for t in spec.types:
-            v = np.zeros(t.buffer + 1)
-            v[1] = t.gamma
-            parts.append(v)
-        lam_eff = tuple(t.curve.rates[1] for t in spec.types)
-        return StationaryReport(Occupancy(parts), "jsq-critical", 0.0, lam_eff,
-                                z0=lam, i0=1, y0=0.0)
-
-    gammas = spec.gammas()
-    mu_lo = np.array([t.curve.rates[i0 - 1] for t in spec.types])
-    mu_hi = np.array([t.curve.rates[i0] for t in spec.types])
-
-    def g(p):
-        y0 = p.sum()
-        z0 = float((mu_lo * p).sum())
-        w = (lam - z0) / y0
-        return gammas * mu_hi / (w + mu_hi)
-
-    p = _damped_fixed_point(g, 0.5 * gammas)
-    y0 = float(p.sum())
-    z0 = float((mu_lo * p).sum())
-    parts = []
-    for t, gm, pk in zip(spec.types, gammas, p):
-        v = np.zeros(t.buffer + 1)
-        v[i0 - 1] = pk
-        v[i0] = gm - pk
-        parts.append(v)
-    nu = Occupancy(parts)
-    lam_eff = []
-    for t, pk, gm in zip(spec.types, p, gammas):
-        lam_eff.append((t.curve.rates[i0 - 1] * pk + (lam - z0) * pk / y0) / gm)
-    return StationaryReport(nu, "jsq", 0.0, tuple(lam_eff), z0=z0, i0=i0, y0=y0)
+        return _report_continuous(spec, Policy("jsq"), rep.nu, "jsq-subcritical",
+                                  i0=1, y0=rep.y0)
+    return rep
 
 
 def jsqd_balance_residual(spec: ClusterSpec, d: int, nu: Occupancy) -> float:
@@ -337,7 +321,9 @@ def solve_jsqd(spec: ClusterSpec, d: int, tol: float = 1e-10) -> StationaryRepor
 
 
 def solve_jbt(spec: ClusterSpec) -> StationaryReport:
-    """Fixed point in the availability mass y; support ends at each threshold."""
+    """Balance in the availability mass y, the mass below the thresholds:
+    arrivals reach those servers at rate lam / y each, and each type's chain
+    ends at its threshold."""
     lam = spec.lam
     for k, t in enumerate(spec.types):
         if t.mpl is None:
@@ -359,11 +345,10 @@ def solve_jbt(spec: ClusterSpec) -> StationaryReport:
             parts.append(t.gamma * u / u.sum())
         return parts
 
-    def g(y):
-        parts = chain(y[0])
-        return np.array([sum(p[: t.mpl].sum() for t, p in zip(spec.types, parts))])
+    def excess(y):
+        return y - sum(p[: t.mpl].sum() for t, p in zip(spec.types, chain(y)))
 
-    y = float(_damped_fixed_point(g, np.array([1.0]))[0])
+    y = _bisect(excess, 0.0, 1.0)
     nu = Occupancy(chain(y))
     return _report_continuous(spec, Policy("jbt"), nu, "jbt", y0=y)
 

@@ -8,13 +8,14 @@ recursion
 
 with c = 1, s = 0 and H[0, .] = 0 for the mean remaining times, and c = 0
 and H[0, .] = 1 for their Laplace transforms at s. A regime enters only as
-data: the arrival rates a[j] seen by a single queue and a floor level lo.
-Continuous policies take a from the stationary dispatch field; the critical
-regimes have no arrivals; supercritical JIQ sees the residual rate
-``lam - z0`` on every level below the buffer. Two-level JSQ sees
-``(lam - z0) / y0`` only at its lower level i0 - 1, which is also its floor:
-a completion there is refilled at once, so shorter queues are never
-reached. Every other regime has lo = 0, and the buffer level never receives
+data: the arrival rates a[j] seen by a single queue and a floor level lo,
+the length at which a completion is refilled at once, so that shorter
+queues are never reached. Continuous policies take a from the stationary
+dispatch field and have lo = 0. Two-level JSQ sees ``(lam - z0) / y0`` only
+at its lower level i0 - 1, which is its floor. The critical regimes have no
+arrivals and their floor at the level i0 holding all mass (1 for JIQ), and
+supercritical JIQ adds the residual rate ``lam - z0`` on every level from
+1, its floor, to below the buffer. The buffer level never receives
 arrivals. Entry weights mirror how arriving jobs are spread over queue
 lengths; their total is the admitted fraction.
 
@@ -81,7 +82,7 @@ def _queues(spec, policy, report):
         if regime in CONTINUOUS_REGIMES:
             fp = f.parts[k]
             for j in range(1, b):
-                if p[j] > RATE_FLOOR:
+                if p[j] > 0:
                     a[j] = lam * float(fp[j]) / float(p[j])
                 elif fp[j] > RATE_FLOOR:
                     raise ValueError(
@@ -94,8 +95,9 @@ def _queues(spec, policy, report):
             a[lo] = (lam - z0) / report.y0
             levels = {lo: mu[lo] * float(p[lo]) / lam,
                       lo + 1: (1.0 - z0 / lam) * float(p[lo]) / report.y0}
-        else:  # jiq/jsq critical and jiq supercritical: idle servers refill at once
-            levels = {1: mu[1] * float(p[1]) / lam}
+        else:  # critical regimes and jiq supercritical: level i0 refills at once
+            lo = report.i0 or 1
+            levels = {lo: mu[lo] * float(p[lo]) / lam}
             if regime == "jiq-supercritical":
                 a[1:b] = [lam - z0] * (b - 1)
                 rest = 1.0 - z0 / lam
@@ -139,8 +141,8 @@ def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
 
     Table k has shape (B+1, B+2). Entry [i, j] is the mean remaining time of
     a job at position i of a length-j queue, defined for max(i, lo) <= j <= B
-    with lo = i0 - 1 in the two-level jsq regime and 0 otherwise; every other
-    entry is zero.
+    with the regime's floor lo (i0 - 1 in two-level jsq, i0 in critical jsq);
+    every other entry is zero.
     """
     _check_regime(policy, report)
     queues = _queues(spec, policy, report)

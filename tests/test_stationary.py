@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lbmf import ode, stationary
+from lbmf import ode, stationary, systemtime
 from lbmf.model import (ClusterSpec, Occupancy, Policy, ServerType,
                         ServiceRateCurve, ValidationError)
 
@@ -182,3 +182,87 @@ def test_report_serialization(hom_spec):
     assert doc["i0"] == 4 and doc["regime"] == "jsq"
     assert doc["nu"][0][3] == pytest.approx(0.5)
     assert set(doc) == {"regime", "nu", "z0", "i0", "y0", "loss_prob", "lambda_eff"}
+
+
+def random_spec(rng):
+    """One to three types with buffers 1..6, thresholds, and rate curves
+    that are sometimes flat, always with nonincreasing per-job rates."""
+    k = int(rng.integers(1, 4))
+    types = []
+    for gamma in rng.dirichlet(np.full(k, 2.0)):
+        b = int(rng.integers(1, 7))
+        mu = [float(rng.uniform(0.3, 2.0))]
+        for i in range(1, b):
+            step = 1.0 if rng.random() < 0.3 else rng.uniform(1.0, (i + 1) / i)
+            mu.append(mu[-1] * step)
+        types.append(ServerType(float(gamma), ServiceRateCurve.from_mu(mu),
+                                mpl=int(rng.integers(1, b + 1))))
+    return types
+
+
+def capacity(types, i):
+    return sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in types)
+
+
+def sweep_loads(rng, types):
+    """Random loads across each policy's stability region, loads exactly at
+    each covering capacity, and loads just either side of sum(gamma mu(1))."""
+    full = capacity(types, max(t.buffer for t in types))
+    limits = {"jiq": full, "jbt": sum(t.gamma * t.curve.rates[t.mpl] for t in types),
+              "jsq": capacity(types, min(t.buffer for t in types))}
+    loads = []
+    for kind, limit in limits.items():
+        for rho in (*rng.uniform(0.0, 1.0, 3), 1 - 10 ** -rng.uniform(2, 6)):
+            loads.append(rho * limit)
+    loads += [capacity(types, i) for i in range(1, max(t.buffer for t in types) + 1)]
+    loads += [capacity(types, 1) * (1 + e) for e in (-1e-9, 1e-9)]
+    return [(lam, kind) for lam in loads for kind, limit in limits.items()
+            if 0 < lam < full and (lam <= limit if kind == "jsq" else lam < limit)]
+
+
+def balance_residual(spec, policy, rep):
+    """Sup-norm defect of the report's stationary equations and type masses."""
+    lam, z0 = spec.lam, rep.z0
+    res = [abs(p.sum() - t.gamma) for t, p in zip(spec.types, rep.nu.parts)]
+    if rep.regime in stationary.CONTINUOUS_REGIMES:
+        res += [np.max(np.abs(d)) for d in ode.rhs(rep.nu, spec, policy)]
+    elif rep.regime == "jsq":
+        i0, w = rep.i0, (lam - z0) / rep.y0
+        lower = np.array([p[i0 - 1] for p in rep.nu.parts])
+        res += [abs(t.curve.rates[i0] * p[i0] - w * p[i0 - 1])
+                for t, p in zip(spec.types, rep.nu.parts)]
+        res += [abs(rep.y0 - lower.sum()),
+                abs(z0 - sum(t.curve.rates[i0 - 1] * p for t, p in zip(spec.types, lower)))]
+    elif rep.regime == "jiq-supercritical":
+        res.append(abs(z0 - sum(t.curve.rates[1] * p[1] for t, p in zip(spec.types, rep.nu.parts))))
+        for t, p in zip(spec.types, rep.nu.parts):
+            res += [abs((lam - z0) * p[i] - t.curve.rates[i + 1] * p[i + 1])
+                    for i in range(1, t.buffer)]
+    else:  # critical: all mass at i0, whose capacity is the load
+        i0 = rep.i0 or 1
+        res.append(abs(capacity(spec.types, i0) - lam))
+        res += [abs(p[i0] - t.gamma) for t, p in zip(spec.types, rep.nu.parts)]
+    return max(res)
+
+
+def test_random_specs_balance_little_and_mass():
+    """Seeded sweep over random specs: every jiq/jsq/jbt solve satisfies its
+    balance equations, its mean sojourn agrees with Little's law, and its
+    transform at 0 carries the admitted mass (the C08 identity)."""
+    rng = np.random.default_rng(2024)
+    regimes = set()
+    for _ in range(12):
+        types = random_spec(rng)
+        for lam, kind in sweep_loads(rng, types):
+            spec, policy = ClusterSpec(lam=float(lam), types=types), Policy(kind)
+            rep = stationary.solve(spec, policy)
+            regimes.add(rep.regime)
+            where = (kind, lam, rep.regime, types)
+            assert balance_residual(spec, policy, rep) <= 1e-12, where
+            mean, _ = systemtime.mean_sojourn(spec, policy, rep)
+            _, little = stationary.little(spec, policy, rep)
+            assert abs(mean - little) <= 1e-10 * little, where
+            mass = systemtime.transform(spec, policy, rep)(0j).real
+            assert abs(mass + rep.loss_prob - 1.0) < 1e-9, where
+    assert regimes == {"jiq-subcritical", "jiq-critical", "jiq-supercritical",
+                       "jsq-subcritical", "jsq-critical", "jsq", "jbt"}

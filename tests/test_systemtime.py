@@ -11,6 +11,17 @@ def closed_form_b5(s):
     return (24 * s + 65) ** 4 / (5 * (2 * s + 5) ** 3 * (10 * s + 13) ** 4)
 
 
+def reference_boundary(spec, rep):
+    """(arrival rate at the lower level, i0) of the two-level jsq regime, or
+    None. Critical jsq at i0 is the two-level regime one level up with no
+    arrivals at its lower level: completions there are refilled at once."""
+    if rep.regime == "jsq":
+        return (spec.lam - rep.z0) / rep.y0, rep.i0
+    if rep.regime == "jsq-critical":
+        return 0.0, rep.i0 + 1
+    return None
+
+
 def reference_means(spec, policy, rep):
     """The per-type mean tables, one entry at a time; the two-level jsq
     regime fills back instantly below its boundary and only drains above."""
@@ -19,8 +30,8 @@ def reference_means(spec, policy, rep):
         mu = t.curve.rates
         b = t.buffer
         h = np.zeros((b + 1, b + 2))
-        if rep.regime == "jsq":
-            wb, i0 = (spec.lam - rep.z0) / rep.y0, rep.i0
+        if boundary := reference_boundary(spec, rep):
+            wb, i0 = boundary
             for i in range(1, b + 1):
                 for j in range(b, max(i0, i) - 1, -1):
                     h[i][j] = 1.0 / mu[j] + h[i - 1][j - 1]
@@ -52,8 +63,8 @@ def reference_transform(spec, policy, rep, s):
         b = t.buffer
         h = np.zeros((b + 1, b + 2), dtype=complex)
         h[0, :] = 1.0
-        if rep.regime == "jsq":
-            wb, i0 = (spec.lam - rep.z0) / rep.y0, rep.i0
+        if boundary := reference_boundary(spec, rep):
+            wb, i0 = boundary
             for i in range(1, b + 1):
                 for j in range(b, max(i0, i) - 1, -1):
                     h[i][j] = mu[j] / (s + mu[j]) * h[i - 1][j - 1]
@@ -80,7 +91,8 @@ def assert_means_match_reference(spec, policy, rep):
     relative, the rest are zero, and so does the weighted mean."""
     mean, tables = systemtime.mean_sojourn(spec, policy, rep)
     want = reference_means(spec, policy, rep)
-    lo = rep.i0 - 1 if rep.regime == "jsq" else 0
+    boundary = reference_boundary(spec, rep)
+    lo = boundary[1] - 1 if boundary else 0
     for h, ref in zip(tables, want):
         assert h.shape == ref.shape
         i, j = np.indices(h.shape)
@@ -154,17 +166,45 @@ def test_means_match_reference(b5_spec, hom_spec, het_spec, policy):
 
 @pytest.mark.parametrize("cluster,lam,regime,i0", [
     ("hom", 1.05, "jsq", 2), ("hom", 1.25, "jsq", 4), ("hom", 1.35, "jsq", 5),
-    ("hom", 1.45, "jsq", 6), ("het", 0.5, "jsq-subcritical", 1),
-    ("het", 0.9, "jsq-subcritical", 1)])
+    ("hom", 1.4, "jsq-critical", 5), ("hom", 1.45, "jsq", 6),
+    ("het", 0.5, "jsq-subcritical", 1), ("het", 0.9, "jsq-subcritical", 1)])
 def test_jsq_regimes_match_reference(hom_spec, het_spec, cluster, lam, regime, i0):
     """The floor of the two-level regime at every boundary level i0 - 1 the
-    homogeneous cluster reaches, and two types below the critical load."""
+    homogeneous cluster reaches, the critical load mu(5) between two of
+    them, and two types below the critical load."""
     spec = ClusterSpec(lam=lam, types=(hom_spec if cluster == "hom" else het_spec).types)
     rep = stationary.solve_jsq(spec)
     assert (rep.regime, rep.i0) == (regime, i0)
     assert_means_match_reference(spec, Policy("jsq"), rep)
     s = sample_points(np.random.default_rng(23), 12)
     assert_transform_matches_reference(spec, Policy("jsq"), rep, s)
+
+
+@pytest.mark.parametrize("lam,i0", [(1.1, 2), (1.2, 3), (1.3, 4), (1.4, 5)])
+def test_jsq_critical_sojourn_is_erlang(hom_spec, lam, i0):
+    """At lam = mu(i0) every queue holds i0 jobs and each completion is
+    refilled at once, so a job waits out i0 services at rate mu(i0)."""
+    spec = ClusterSpec(lam=lam, types=hom_spec.types)
+    rep = stationary.solve_jsq(spec)
+    assert (rep.regime, rep.i0) == ("jsq-critical", i0)
+    mu = spec.types[0].curve.rates[i0]
+    mean, _ = systemtime.mean_sojourn(spec, Policy("jsq"), rep)
+    assert mean == pytest.approx(i0 / mu, rel=1e-14)
+    s = sample_points(np.random.default_rng(29), 12)
+    got = systemtime.transform(spec, Policy("jsq"), rep)(s)
+    want = (mu / (s + mu)) ** i0
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_jbt_near_threshold_capacity(het_spec):
+    """At rho = 0.9999 of the threshold capacity some levels hold mass far
+    below any absolute floor but still receive arrivals."""
+    cap = sum(t.gamma * t.curve.rates[t.mpl] for t in het_spec.types)
+    spec = ClusterSpec(lam=0.9999 * cap, types=het_spec.types)
+    rep = stationary.solve_jbt(spec)
+    mean, _ = systemtime.mean_sojourn(spec, Policy("jbt"), rep)
+    _, little = stationary.little(spec, Policy("jbt"), rep)
+    assert mean == pytest.approx(little, rel=1e-12)
 
 
 def test_jsq_weights_touch_only_boundary_levels(hom_spec):
