@@ -190,10 +190,6 @@ def cmd_table(args) -> int:
 def cmd_dist(args) -> int:
     spec, policy, run = _load(args)
     out = _outdir(args)
-    for t in spec.types:
-        if t.buffer > 10:
-            print(f"warning: buffer {t.buffer} makes the transform expensive",
-                  file=sys.stderr)
     report = stationary.solve(spec, policy)
     dist = systemtime.distribution(spec, policy, report)
     t_max = args.t_max or 15.0 * dist.mean

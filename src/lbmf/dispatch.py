@@ -1,10 +1,11 @@
 """Dispatch probabilities for each load-balancing policy.
 
-Every policy is captured twice: as a field over the normalized occupancy
-(the routing probabilities seen by the deterministic limit) and as a
-finite-N sampling rule used by the event simulator. Mass a policy would
-send to full queues is reported on a separate loss channel, so field
-entries at a type's buffer level are always zero.
+Each policy's field gives, for the deterministic limit, the probability
+that an arrival joins a queue of each type and length, as a padded
+type-by-length array laid out like the ``Occupancy`` it is computed from.
+Mass a policy would send to full queues is reported on a separate loss
+channel, so field entries at a type's buffer level are always zero. The
+finite-cluster simulator picks targets by the same rules on server counts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClusterSpec, Occupancy, Policy
+from .model import ClusterSpec, Occupancy, Policy, unpad
 
 # Occupancy entries below this are treated as empty levels; ODE states carry
 # roundoff that would otherwise flip the discontinuous policies.
@@ -22,87 +23,67 @@ ZERO_MASS = 1e-12
 
 @dataclass
 class DispatchField:
-    """Probability that an arrival joins a type-k queue of length i, plus loss."""
+    """Probability ``array[k, i]`` that an arrival joins a type-k queue of
+    length i, zero past each type's buffer, plus the loss probability."""
 
-    parts: tuple
+    array: np.ndarray
     loss: float
+    buffers: np.ndarray
+
+    @property
+    def parts(self) -> tuple:
+        return unpad(self.array, self.buffers)
 
     def total(self) -> float:
-        return float(sum(p.sum() for p in self.parts))
-
-    def at(self, k: int, i: int) -> float:
-        return float(self.parts[k][i])
+        return float(self.array.sum())
 
 
-def _clipped(x: Occupancy):
-    return [np.maximum(p, 0.0) for p in x.parts]
-
-
-def _zero_parts(xs):
-    return [np.zeros_like(p) for p in xs]
+def _lose_full(f, buffers) -> DispatchField:
+    """Field f with each type's entry at its buffer moved to the loss channel."""
+    full = np.arange(0, f.size, f.shape[1]) + buffers  # flat index of (k, B_k)
+    flat = f.reshape(-1)
+    loss = float(flat[full].sum())
+    flat[full] = 0.0
+    return DispatchField(f, loss, buffers)
 
 
 def f_random(x: Occupancy) -> DispatchField:
     """Uniform assignment: the field is the occupancy itself, full queues lose."""
-    xs = _clipped(x)
-    parts, loss = [], 0.0
-    for p in xs:
-        q = p.copy()
-        loss += q[-1]
-        q[-1] = 0.0
-        parts.append(q)
-    return DispatchField(tuple(parts), float(loss))
+    return _lose_full(np.maximum(x.array, 0.0), x.buffers)
 
 
 def f_jiq(x: Occupancy) -> DispatchField:
     """All arrivals to idle servers; falls back to random when none are idle."""
-    xs = _clipped(x)
-    y0 = sum(p[0] for p in xs)
+    idle = np.maximum(x.array[:, 0], 0.0)
+    y0 = idle.sum()
     if y0 <= ZERO_MASS:
         return f_random(x)
-    parts = _zero_parts(xs)
-    for q, p in zip(parts, xs):
-        q[0] = p[0] / y0
-    return DispatchField(tuple(parts), 0.0)
+    f = np.zeros(x.array.shape)
+    f[:, 0] = idle / y0
+    return DispatchField(f, 0.0, x.buffers)
 
 
 def f_jsq(x: Occupancy) -> DispatchField:
     """All arrivals to the minimal occupied queue length, split by type mass."""
-    xs = _clipped(x)
-    max_b = max(len(p) - 1 for p in xs)
-    istar = None
-    for i in range(max_b + 1):
-        if sum(p[i] for p in xs if i < len(p)) > ZERO_MASS:
-            istar = i
-            break
-    parts = _zero_parts(xs)
-    if istar is None:
-        return DispatchField(tuple(parts), float(sum(p.sum() for p in xs)))
-    denom = sum(p[istar] for p in xs if istar < len(p))
-    loss = 0.0
-    for q, p in zip(parts, xs):
-        b = len(p) - 1
-        if istar > b:
-            continue
-        share = p[istar] / denom
-        if istar < b:
-            q[istar] = share
-        else:
-            loss += share
-    return DispatchField(tuple(parts), float(loss))
+    q = np.maximum(x.array, 0.0)
+    m = q.sum(axis=0)
+    occupied = m > ZERO_MASS
+    istar = occupied.argmax()
+    f = np.zeros(q.shape)
+    if not occupied[istar]:
+        return DispatchField(f, float(q.sum()), x.buffers)
+    f[:, istar] = q[:, istar] / m[istar]
+    return _lose_full(f, x.buffers)
 
 
-def jsqd_bracket(parts, d: int):
+def jsqd_bracket(q, d: int):
     """Mass m[i] at each queue length over all types, and the chance
     z[i]**d - z[i+1]**d that the best of d draws sits at length i, with z the
-    tail masses. ``parts`` are non-negative per-type occupancies."""
-    max_b = max(len(p) - 1 for p in parts)
-    m = np.zeros(max_b + 1)
-    for p in parts:
-        m[: len(p)] += p
-    z = np.zeros(max_b + 2)
-    z[: max_b + 1] = m[::-1].cumsum()[::-1]
-    return m, z[: max_b + 1] ** d - z[1:] ** d
+    tail masses. ``q`` is a non-negative padded occupancy array."""
+    m = q.sum(axis=0)
+    z = np.zeros(len(m) + 1)
+    z[:-1] = m[::-1].cumsum()[::-1]
+    return m, z[:-1] ** d - z[1:] ** d
 
 
 def f_jsqd_limit(x: Occupancy, d: int) -> DispatchField:
@@ -116,32 +97,22 @@ def f_jsqd_limit(x: Occupancy, d: int) -> DispatchField:
         raise ValueError(f"d must be >= 1, got {d}")
     if d == 1:
         return f_random(x)
-    xs = _clipped(x)
-    m, bracket = jsqd_bracket(xs, d)
-    parts, loss = _zero_parts(xs), 0.0
-    for q, p in zip(parts, xs):
-        b = len(p) - 1
-        for i in range(b + 1):
-            if m[i] <= 0.0:
-                continue
-            val = p[i] / m[i] * bracket[i]
-            if i < b:
-                q[i] = val
-            else:
-                loss += val
-    return DispatchField(tuple(parts), float(loss))
+    q = np.maximum(x.array, 0.0)
+    m, bracket = jsqd_bracket(q, d)
+    return _lose_full(np.divide(q, m, out=np.zeros(q.shape), where=m > 0.0) * bracket,
+                      x.buffers)
 
 
 def f_jbt(x: Occupancy, thresholds) -> DispatchField:
     """Uniform over servers below their type threshold; random when none qualify."""
-    xs = _clipped(x)
-    y = sum(p[: mk].sum() for p, mk in zip(xs, thresholds))
+    q = np.maximum(x.array, 0.0)
+    thresholds = np.asarray(thresholds)
+    # cumsum adds each type's levels left to right, as a per-type sum does
+    y = np.cumsum(q, axis=1)[np.arange(len(q)), thresholds - 1].sum()
     if y <= ZERO_MASS:
         return f_random(x)
-    parts = _zero_parts(xs)
-    for q, p, mk in zip(parts, xs, thresholds):
-        q[:mk] = p[:mk] / y
-    return DispatchField(tuple(parts), 0.0)
+    below = np.arange(q.shape[1]) < thresholds[:, None]
+    return DispatchField(np.where(below, q / y, 0.0), 0.0, x.buffers)
 
 
 def f_partial(inner: DispatchField, x: Occupancy, p: float) -> DispatchField:
@@ -151,8 +122,8 @@ def f_partial(inner: DispatchField, x: Occupancy, p: float) -> DispatchField:
     if p == 1.0:
         return inner
     rnd = f_random(x)
-    parts = tuple(p * a + (1 - p) * b for a, b in zip(inner.parts, rnd.parts))
-    return DispatchField(parts, p * inner.loss + (1 - p) * rnd.loss)
+    return DispatchField(p * inner.array + (1 - p) * rnd.array,
+                         p * inner.loss + (1 - p) * rnd.loss, x.buffers)
 
 
 def field(x: Occupancy, spec: ClusterSpec, policy: Policy) -> DispatchField:
@@ -171,55 +142,3 @@ def field(x: Occupancy, spec: ClusterSpec, policy: Policy) -> DispatchField:
     else:
         raise ValueError(f"unknown policy kind {kind!r}")
     return f_partial(inner, x, policy.control)
-
-
-def sample_target(lengths, types, spec: ClusterSpec, policy: Policy, rng):
-    """Pick the server an arrival joins in a finite cluster, or None if lost.
-
-    ``lengths`` and ``types`` give each server's queue length and type index.
-    Ties are broken uniformly; JSQ(d) samples d distinct servers (clamped to
-    the cluster size). This is the reference rule; the simulator reimplements
-    it on aggregated state for speed.
-    """
-    lengths = np.asarray(lengths)
-    types = np.asarray(types)
-    n = len(lengths)
-    buffers = spec.buffers
-
-    def full(j):
-        return lengths[j] >= buffers[types[j]]
-
-    def uniform_all():
-        j = int(rng.integers(n))
-        return None if full(j) else j
-
-    kind = policy.kind
-    if policy.control < 1.0 and rng.random() >= policy.control:
-        kind = "random"
-
-    if kind == "random":
-        return uniform_all()
-    if kind == "jiq":
-        idle = np.flatnonzero(lengths == 0)
-        if len(idle):
-            return int(rng.choice(idle))
-        return uniform_all()
-    if kind == "jsq":
-        m = lengths.min()
-        cand = np.flatnonzero(lengths == m)
-        j = int(rng.choice(cand))
-        return None if full(j) else j
-    if kind == "jsqd":
-        d = min(policy.d, n)
-        picked = rng.choice(n, size=d, replace=False)
-        m = lengths[picked].min()
-        cand = picked[lengths[picked] == m]
-        j = int(rng.choice(cand))
-        return None if full(j) else j
-    if kind == "jbt":
-        mpls = np.array([t.mpl for t in spec.types])
-        avail = np.flatnonzero(lengths < mpls[types])
-        if len(avail):
-            return int(rng.choice(avail))
-        return uniform_all()
-    raise ValueError(f"unknown policy kind {kind!r}")

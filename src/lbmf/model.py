@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,6 @@ class ServiceRateCurve:
     def buffer(self) -> int:
         return len(self.rates) - 1
 
-    def mu(self, i: int) -> float:
-        return self.rates[i]
-
 
 @dataclass(frozen=True)
 class ServerType:
@@ -92,11 +90,14 @@ class ClusterSpec:
     def buffers(self) -> tuple:
         return tuple(t.buffer for t in self.types)
 
-    def mu(self, k: int, i: int) -> float:
-        return self.types[k].curve.rates[i]
-
     def gammas(self) -> np.ndarray:
         return np.array([t.gamma for t in self.types])
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Service rates laid out like an occupancy: ``rates[k, i]`` for
+        type k at length i, zero past each type's buffer."""
+        return Occupancy([t.curve.rates for t in self.types]).array
 
 
 @dataclass(frozen=True)
@@ -123,44 +124,46 @@ class RunParams:
     seed: int | None = None
 
 
-class Occupancy:
-    """Normalized queue-length distribution, one vector per server type.
+def unpad(array, buffers) -> tuple:
+    """Per-type views ``array[k, ..., :B_k + 1]`` of a padded type-by-length array."""
+    return tuple(row[..., :b + 1] for row, b in zip(array, buffers))
 
-    ``parts[k][i]`` is the fraction of all servers that are of type k and
-    hold i jobs; each type's vector sums to that type's fleet share.
+
+class Occupancy:
+    """Normalized queue-length distribution of a cluster.
+
+    ``array[k, i]`` is the fraction of all servers that are of type k and
+    hold i jobs. It is one (K, B_max + 1) array for all types, so that array
+    code can work on the whole state at once; entries past a type's buffer
+    ``buffers[k]`` are exactly zero. ``parts[k]`` views type k's lengths
+    0..B_k, which sum to that type's fleet share.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("array", "buffers")
 
     def __init__(self, parts):
-        self.parts = tuple(np.asarray(p, dtype=float) for p in parts)
+        parts = [np.asarray(p, dtype=float) for p in parts]
+        self.buffers = np.array([len(p) - 1 for p in parts])
+        self.array = np.zeros((len(parts), self.buffers.max() + 1))
+        for row, p in zip(self.array, parts):
+            row[:len(p)] = p
+
+    @classmethod
+    def from_array(cls, array, buffers) -> "Occupancy":
+        """Wrap a padded array, without copying it."""
+        x = cls.__new__(cls)
+        x.array, x.buffers = array, buffers
+        return x
 
     @classmethod
     def empty(cls, spec: ClusterSpec) -> "Occupancy":
-        parts = []
-        for t in spec.types:
-            v = np.zeros(t.buffer + 1)
-            v[0] = t.gamma
-            parts.append(v)
-        return cls(parts)
+        x = cls([np.zeros(b + 1) for b in spec.buffers])
+        x.array[:, 0] = spec.gammas()
+        return x
 
-    def copy(self) -> "Occupancy":
-        return Occupancy([p.copy() for p in self.parts])
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.parts)
-
-    @classmethod
-    def from_flat(cls, spec: ClusterSpec, vec) -> "Occupancy":
-        parts, j = [], 0
-        for t in spec.types:
-            w = t.buffer + 1
-            parts.append(np.asarray(vec[j:j + w], dtype=float))
-            j += w
-        return cls(parts)
-
-    def type_masses(self) -> np.ndarray:
-        return np.array([p.sum() for p in self.parts])
+    @property
+    def parts(self) -> tuple:
+        return unpad(self.array, self.buffers)
 
     def check(self, spec: ClusterSpec, tol: float = 1e-9) -> list:
         """Return invariant violations (empty list when valid)."""

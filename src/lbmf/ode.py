@@ -15,6 +15,11 @@ the boundary of the occupancy simplex the hard part:
 Fields are evaluated verbatim on the current state (no sliding-mode
 construction); near a discontinuous attractor the trajectory hovers within
 O(dt) of it, and the pointwise derivative does not vanish there.
+
+The state is the occupancy's padded (K, B_max + 1) type-by-length array, so
+each step works on all types at once. Rates and fields are zero past each
+type's buffer, so those entries have zero derivative and stay exactly zero.
+Trajectories are handed back per type.
 """
 
 from __future__ import annotations
@@ -24,76 +29,80 @@ import math
 import numpy as np
 
 from . import dispatch
-from .model import ClusterSpec, ConvergenceError, Occupancy, Policy, Trajectory
+from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy, Trajectory,
+                    unpad)
 
 DUST = 1e-13
 
 
-def _deriv(spec, parts, f):
-    out = []
-    for t, p, fp in zip(spec.types, parts, f.parts):
-        mu = np.asarray(t.curve.rates)
-        flow_in = spec.lam * np.concatenate(([0.0], fp[:-1]))
-        flow_out = spec.lam * fp
-        srv_in = np.concatenate((mu[1:] * p[1:], [0.0]))
-        srv_out = mu * p
-        out.append(flow_in - flow_out + srv_in - srv_out)
-    return out
+def _deriv(spec, x, f):
+    flow_out = spec.lam * f
+    flow_in = np.zeros(x.shape)
+    flow_in[:, 1:] = flow_out[:, :-1]
+    srv_out = spec.rates * x
+    srv_in = np.zeros(x.shape)
+    srv_in[:, :-1] = srv_out[:, 1:]
+    return flow_in - flow_out + srv_in - srv_out
 
 
 def rhs(v: Occupancy, spec: ClusterSpec, policy: Policy):
-    """Time derivative of the occupancy; per-type sums are conserved."""
-    return _deriv(spec, v.parts, dispatch.field(v, spec, policy))
+    """Time derivative of the occupancy, as a padded array like
+    ``v.array``; each type's row sums to zero."""
+    return _deriv(spec, v.array, dispatch.field(v, spec, policy).array)
 
 
 def _support(f):
-    return tuple((fp > 1e-12).tobytes() for fp in f.parts)
+    return (f.array > 1e-12).tobytes()
 
 
-def _settle(parts):
+def _row_sums(a):
+    """Each row's sum, added strictly left to right. numpy adds up to seven
+    entries the same way, so this matches summing each type's few residues
+    on their own; ``a.sum(axis=1)`` would regroup a padded row."""
+    return np.cumsum(a, axis=1)[:, -1]
+
+
+def _settle(x):
     """Clear sub-dust residue (including roundoff negatives) into each
     type's largest entry, keeping type masses exact."""
-    for p in parts:
-        tiny = (p < DUST) & (p != 0.0)
-        if tiny.any():
-            p[p.argmax()] += p[tiny].sum()
-            p[tiny] = 0.0
-    return parts
+    tiny = (x < DUST) & (x != 0.0)
+    if tiny.any():
+        x[np.arange(len(x)), x.argmax(axis=1)] += _row_sums(np.where(tiny, x, 0.0))
+        x[tiny] = 0.0
+    return x
 
 
-def _clamp(parts):
+def _clamp(x):
     """Zero negative overshoot, paying for it out of the largest entry."""
-    for p in parts:
-        neg = p < 0.0
-        if neg.any():
-            deficit = p[neg].sum()
-            p[neg] = 0.0
-            p[p.argmax()] += deficit
-    return parts
+    neg = x < 0.0
+    if neg.any():
+        deficit = _row_sums(np.where(neg, x, 0.0))
+        x[neg] = 0.0
+        x[np.arange(len(x)), x.argmax(axis=1)] += deficit
+    return x
 
 
-def _advance(parts, spec, policy, dt):
-    """Move the state forward by dt with boundary-exact sub-steps."""
+def _advance(x, buffers, spec, policy, dt):
+    """Move the padded state x forward by dt with boundary-exact sub-steps."""
     remaining = dt
     for _ in range(64):
-        parts = _settle(parts)
-        f1 = dispatch.field(Occupancy(parts), spec, policy)
-        k1 = _deriv(spec, parts, f1)
+        x = _settle(x)
+        f1 = dispatch.field(Occupancy.from_array(x, buffers), spec, policy)
+        k1 = _deriv(spec, x, f1.array)
         h = remaining
-        for p, k in zip(parts, k1):
-            falling = k < -1e-300
-            if falling.any():
-                h = min(h, float(np.min(p[falling] / -k[falling])))
+        falling = k1 < -1e-300
+        if falling.any():
+            h = min(h, float(np.min(x[falling] / -k1[falling])))
         if h <= 0.0:
             h = remaining  # only zero entries fall; clamp below handles them
-        mid = [p + 0.5 * h * k for p, k in zip(parts, k1)]
-        f2 = dispatch.field(Occupancy(mid), spec, policy)
-        k = _deriv(spec, mid, f2) if _support(f1) == _support(f2) else k1
-        parts = _clamp([p + h * k for p, k in zip(parts, k)])
+        mid = x + 0.5 * h * k1
+        f2 = dispatch.field(Occupancy.from_array(mid, buffers), spec, policy)
+        k = _deriv(spec, mid, f2.array) if _support(f1) == _support(f2) else k1
+        x = _clamp(x + h * k)
         remaining -= h
         if remaining <= 1e-12 * dt:
-            return _settle(parts)
-    return _settle(parts)
+            return _settle(x)
+    return _settle(x)
 
 
 def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
@@ -108,19 +117,16 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
     dt = sample_interval / per_sample
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
-    traj = [np.empty((n_samples, t.buffer + 1)) for t in spec.types]
-
-    parts = [p.copy() for p in v0.parts]
-    for row, p in zip(traj, parts):
-        row[0] = p
+    x = v0.array.copy()
+    traj = np.empty((n_samples,) + x.shape)
+    traj[0] = x
     for s in range(1, n_samples):
         for _ in range(per_sample):
-            parts = _advance(parts, spec, policy, dt)
-        if not all(np.isfinite(p).all() for p in parts):
+            x = _advance(x, v0.buffers, spec, policy, dt)
+        if not np.isfinite(x).all():
             raise ConvergenceError(f"non-finite state at t={times[s]:g}")
-        for row, p in zip(traj, parts):
-            row[s] = p
-    return Trajectory(times=times, parts=tuple(traj))
+        traj[s] = x
+    return Trajectory(times=times, parts=unpad(traj.swapaxes(0, 1), v0.buffers))
 
 
 def solve_to_stationarity(v0: Occupancy, spec: ClusterSpec, policy: Policy,
@@ -135,20 +141,20 @@ def solve_to_stationarity(v0: Occupancy, spec: ClusterSpec, policy: Policy,
     """
     steps = max(1, round(check_interval / dt))
     dt = check_interval / steps
-    parts = [p.copy() for p in v0.parts]
+    x = v0.array.copy()
     t = 0.0
     residual = math.inf
     while t < t_max:
         for _ in range(steps):
-            parts = _advance(parts, spec, policy, dt)
+            x = _advance(x, v0.buffers, spec, policy, dt)
         t += check_interval
-        state = Occupancy(parts)
-        if not all(np.isfinite(p).all() for p in parts):
+        if not np.isfinite(x).all():
             raise ConvergenceError(f"non-finite state at t={t:g}")
-        residual = max(float(np.max(np.abs(d))) for d in rhs(state, spec, policy))
+        state = Occupancy.from_array(x, v0.buffers)
+        residual = float(np.max(np.abs(rhs(state, spec, policy))))
         if residual < tol:
             return state
     raise ConvergenceError(
         f"no stationary point within t_max={t_max:g} (residual {residual:.3e})",
-        residual=residual, state=Occupancy(parts),
+        residual=residual, state=Occupancy.from_array(x, v0.buffers),
     )

@@ -27,6 +27,7 @@ CRITICAL_BAND = 1e-10
 FP_DAMPING = 0.5
 FP_TOL = 1e-12
 FP_MAX_ITER = 10 ** 6
+JSQD_TOL = 1e-10  # balance residual a JSQ(d) solution must reach
 
 CONTINUOUS_REGIMES = ("random", "jsqd", "jbt", "jiq-subcritical", "jsq-subcritical")
 
@@ -265,15 +266,12 @@ def solve_jsq(spec: ClusterSpec) -> StationaryReport:
 def jsqd_balance_residual(spec: ClusterSpec, d: int, nu: Occupancy) -> float:
     """Sup-norm defect of the JSQ(d) balance equations plus type-mass constraints."""
     f = dispatch.f_jsqd_limit(nu, d)
-    res = 0.0
-    for t, p, fp in zip(spec.types, nu.parts, f.parts):
-        for i in range(1, t.buffer + 1):
-            res = max(res, abs(t.curve.rates[i] * p[i] - spec.lam * fp[i - 1]))
-        res = max(res, abs(p.sum() - t.gamma))
-    return res
+    flow = spec.rates[:, 1:] * nu.array[:, 1:] - spec.lam * f.array[:, :-1]
+    mass = nu.array.sum(axis=1) - spec.gammas()
+    return float(max(np.abs(flow).max(), np.abs(mass).max()))
 
 
-def solve_jsqd(spec: ClusterSpec, d: int, tol: float = 1e-10) -> StationaryReport:
+def solve_jsqd(spec: ClusterSpec, d: int) -> StationaryReport:
     """Fixed point of the power-of-d balance equations.
 
     Iterates the per-level arrival intensities implied by the current state;
@@ -283,38 +281,35 @@ def solve_jsqd(spec: ClusterSpec, d: int, tol: float = 1e-10) -> StationaryRepor
         rep = solve_random(spec)
         return StationaryReport(rep.nu, "jsqd", rep.loss_prob, rep.lambda_eff)
     lam = spec.lam
+    rates = spec.rates
+    gammas = spec.gammas()[:, None]
 
-    def g(flat):
-        nu = Occupancy.from_flat(spec, np.maximum(flat, 0.0))
-        m, bracket = dispatch.jsqd_bracket(nu.parts, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(m > 0, lam * bracket / m, 0.0)
-        parts = []
-        for t in spec.types:
-            u = np.ones(t.buffer + 1)
-            for i in range(1, t.buffer + 1):
-                u[i] = u[i - 1] * beta[i - 1] / t.curve.rates[i]
-            parts.append(t.gamma * u / u.sum())
-        return np.concatenate(parts)
+    def g(x):
+        m, bracket = dispatch.jsqd_bracket(np.maximum(x, 0.0), d)
+        beta = np.divide(lam * bracket, m, out=np.zeros_like(m), where=m > 0)
+        # each type's chain u[i] = u[i-1] beta[i-1] / mu(i), zero past its buffer
+        step = np.zeros_like(rates)
+        step[:, 0] = 1.0
+        np.divide(beta[:-1], rates[:, 1:], out=step[:, 1:], where=rates[:, 1:] > 0)
+        u = np.cumprod(step, axis=1)
+        return gammas * u / u.sum(axis=1, keepdims=True)
 
-    start = solve_random(spec).nu.flat()
+    start = solve_random(spec).nu
     try:
-        flat = _damped_fixed_point(g, start)
-        nu = Occupancy.from_flat(spec, flat)
+        nu = Occupancy.from_array(_damped_fixed_point(g, start.array), start.buffers)
     except ConvergenceError:
         nu = None
-    if nu is None or jsqd_balance_residual(spec, d, nu) > tol:
+    if nu is None or jsqd_balance_residual(spec, d, nu) > JSQD_TOL:
         from . import ode  # deferred: ode pulls in the trajectory machinery
 
         policy = Policy("jsqd", d=d)
-        nu = ode.solve_to_stationarity(Occupancy.empty(spec), spec, policy,
-                                       tol=1e-9, dt=0.01)
-        flat = nu.flat()
+        x = ode.solve_to_stationarity(Occupancy.empty(spec), spec, policy,
+                                      tol=1e-9, dt=0.01).array
         for _ in range(10):
-            flat = g(flat)
-        nu = Occupancy.from_flat(spec, flat)
+            x = g(x)
+        nu = Occupancy.from_array(x, start.buffers)
         res = jsqd_balance_residual(spec, d, nu)
-        if res > tol:
+        if res > JSQD_TOL:
             raise ConvergenceError("jsqd balance equations did not converge",
                                    residual=res, state=nu)
     return _report_continuous(spec, Policy("jsqd", d=d), nu, "jsqd")

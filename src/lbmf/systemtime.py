@@ -37,6 +37,9 @@ from .model import ClusterSpec, Policy
 from .stationary import CONTINUOUS_REGIMES, StationaryReport
 
 RATE_FLOOR = 1e-14
+# Talbot points re-inverted with Euler, and the relative gap that flags one.
+CHECK_POINTS = 10
+CHECK_TOL = 1e-6
 
 
 def _check_regime(policy: Policy, report: StationaryReport):
@@ -214,13 +217,12 @@ class DensityResult:
         return head + float(np.trapezoid(self.density, self.t))
 
 
-def invert(evaluator, t_grid, nodes: int = 64, check_points: int = 10,
-           check_tol: float = 1e-6) -> DensityResult:
+def invert(evaluator, t_grid, nodes: int = 64) -> DensityResult:
     """Invert a transform on a positive time grid with the Talbot rule.
 
-    A handful of grid points are re-inverted with the Euler method; points
-    where the two disagree beyond ``check_tol`` are flagged as unreliable
-    rather than rejected.
+    ``CHECK_POINTS`` grid points are re-inverted with the Euler method;
+    points where the two disagree beyond ``CHECK_TOL`` are flagged as
+    unreliable rather than rejected.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (np.diff(t_grid) <= 0).any() or (t_grid <= 0).any():
@@ -229,12 +231,12 @@ def invert(evaluator, t_grid, nodes: int = 64, check_points: int = 10,
     flagged = np.zeros(len(t_grid), dtype=bool)
     checked = []
     rng = np.random.default_rng(0)
-    idx = sorted(set(rng.integers(0, len(t_grid), size=min(check_points, len(t_grid)))))
+    idx = sorted(set(rng.integers(0, len(t_grid), size=min(CHECK_POINTS, len(t_grid)))))
     other = ilt.euler(evaluator, t_grid[idx])
     for i, val in zip(idx, other):
         gap = abs(val - density[i])
         checked.append((float(t_grid[i]), gap))
-        if gap > check_tol * max(1.0, abs(density[i])):
+        if gap > CHECK_TOL * max(1.0, abs(density[i])):
             flagged[i] = True
     return DensityResult(t=t_grid, density=density, flagged=flagged, checked=checked)
 
@@ -246,9 +248,6 @@ class SojournDistribution:
     mean: float
     loss_prob: float
     laplace: object
-
-    def normalized_laplace(self, s) -> complex:
-        return self.laplace(s) / (1.0 - self.loss_prob)
 
     def density(self, t_grid, nodes: int = 64, normalized: bool = True) -> DensityResult:
         res = invert(self.laplace, t_grid, nodes=nodes)

@@ -31,6 +31,15 @@ def het_spec():
 
 
 @pytest.fixture(scope="session")
+def b37_spec():
+    """Two types with unequal buffers, 3 and 7, and thresholds 2 and 4."""
+    return ClusterSpec(lam=1.2, types=(
+        ServerType(0.4, ServiceRateCurve.from_mu([1.0, 1.5, 1.8]), mpl=2),
+        ServerType(0.6, ServiceRateCurve.from_mu([0.8, 1.2, 1.5, 1.7, 1.8, 1.8, 1.8]),
+                   mpl=4)))
+
+
+@pytest.fixture(scope="session")
 def b5_spec():
     """Homogeneous cluster truncated to buffer 5 (distribution studies)."""
     return ClusterSpec(lam=1.25, types=(

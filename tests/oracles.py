@@ -144,6 +144,65 @@ def ctmc_stationary_occupancy(n, lam, mu, policy, d=None, mpl=None):
     return occ
 
 
+def per_type_field(parts, thresholds, policy):
+    """Dispatch field of the deterministic limit computed one type at a time.
+
+    The loop form of the padded-array fields in ``lbmf.dispatch``, with the
+    same arithmetic in the same order, so the two agree exactly. Returns
+    (per-type field parts, loss).
+    """
+    xs = [np.maximum(np.asarray(p, dtype=float), 0.0) for p in parts]
+    levels = max(len(p) for p in xs)
+    m = np.zeros(levels)
+    for p in xs:
+        m[:len(p)] += p
+
+    def random():
+        out, loss = [p.copy() for p in xs], 0.0
+        for q in out:
+            loss += q[-1]
+            q[-1] = 0.0
+        return out, loss
+
+    out, loss = [np.zeros_like(p) for p in xs], 0.0
+    kind = policy.kind
+    y = {"jiq": sum(p[0] for p in xs),
+         "jbt": sum(p[:mk].sum() for p, mk in zip(xs, thresholds))}.get(kind)
+    if kind == "random" or (y is not None and y <= 1e-12):
+        out, loss = random()
+    elif kind == "jiq":
+        for q, p in zip(out, xs):
+            q[0] = p[0] / y
+    elif kind == "jbt":
+        for q, p, mk in zip(out, xs, thresholds):
+            q[:mk] = p[:mk] / y
+    elif kind == "jsq":
+        istar = next(i for i in range(levels) if m[i] > 1e-12)
+        for q, p in zip(out, xs):
+            if istar < len(p) - 1:
+                q[istar] = p[istar] / m[istar]
+            elif istar == len(p) - 1:
+                loss += p[istar] / m[istar]
+    elif kind == "jsqd":
+        z = np.zeros(levels + 1)
+        z[:levels] = m[::-1].cumsum()[::-1]
+        bracket = z[:levels] ** policy.d - z[1:] ** policy.d
+        for q, p in zip(out, xs):
+            for i in range(len(p)):
+                if m[i] > 0:
+                    val = p[i] / m[i] * bracket[i]
+                    if i < len(p) - 1:
+                        q[i] = val
+                    else:
+                        loss += val
+    c = policy.control
+    if c < 1.0:
+        rnd, rnd_loss = random()
+        out = [c * a + (1 - c) * b for a, b in zip(out, rnd)]
+        loss = c * loss + (1 - c) * rnd_loss
+    return out, loss
+
+
 def ks_distance(samples, cdf_grid_t, cdf_grid_f):
     """Kolmogorov distance between an empirical sample and a gridded CDF."""
     xs = np.sort(np.asarray(samples))
@@ -152,3 +211,55 @@ def ks_distance(samples, cdf_grid_t, cdf_grid_f):
     upper = np.arange(1, n + 1) / n
     lower = np.arange(n) / n
     return float(np.max(np.maximum(np.abs(upper - f), np.abs(f - lower))))
+
+
+def sample_target(lengths, types, spec, policy, rng):
+    """Pick the server an arrival joins in a finite cluster, or None if lost.
+
+    ``lengths`` and ``types`` give each server's queue length and type index.
+    Ties are broken uniformly; JSQ(d) samples d distinct servers (clamped to
+    the cluster size). This is the reference rule; the simulator reimplements
+    it on aggregated state for speed.
+    """
+    lengths = np.asarray(lengths)
+    types = np.asarray(types)
+    n = len(lengths)
+    buffers = spec.buffers
+
+    def full(j):
+        return lengths[j] >= buffers[types[j]]
+
+    def uniform_all():
+        j = int(rng.integers(n))
+        return None if full(j) else j
+
+    kind = policy.kind
+    if policy.control < 1.0 and rng.random() >= policy.control:
+        kind = "random"
+
+    if kind == "random":
+        return uniform_all()
+    if kind == "jiq":
+        idle = np.flatnonzero(lengths == 0)
+        if len(idle):
+            return int(rng.choice(idle))
+        return uniform_all()
+    if kind == "jsq":
+        m = lengths.min()
+        cand = np.flatnonzero(lengths == m)
+        j = int(rng.choice(cand))
+        return None if full(j) else j
+    if kind == "jsqd":
+        d = min(policy.d, n)
+        picked = rng.choice(n, size=d, replace=False)
+        m = lengths[picked].min()
+        cand = picked[lengths[picked] == m]
+        j = int(rng.choice(cand))
+        return None if full(j) else j
+    if kind == "jbt":
+        mpls = np.array([t.mpl for t in spec.types])
+        avail = np.flatnonzero(lengths < mpls[types])
+        if len(avail):
+            return int(rng.choice(avail))
+        return uniform_all()
+    raise ValueError(f"unknown policy kind {kind!r}")

@@ -3,11 +3,11 @@ import pytest
 
 from lbmf import dispatch
 from lbmf.dispatch import (f_jbt, f_jiq, f_jsq, f_jsqd_limit, f_partial,
-                           f_random, field, sample_target)
+                           f_random, field)
 from lbmf.model import ClusterSpec, Occupancy, Policy, ServerType, ServiceRateCurve
 
 from conftest import ALL_POLICIES
-from oracles import brute_force_choice_of_two
+from oracles import brute_force_choice_of_two, per_type_field, sample_target
 
 
 def occ(*parts):
@@ -193,14 +193,30 @@ def test_partial_is_convex_combination(hom_spec):
 # --- generic invariants --------------------------------------------------------
 
 @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label())
-def test_mass_conservation_every_policy(het_spec, policy):
+def test_mass_conservation_every_policy(het_spec, b37_spec, policy):
     rng = np.random.default_rng(5)
-    for x in random_states(het_spec, rng, 30):
-        f = field(x, het_spec, policy)
-        assert all((p >= 0).all() for p in f.parts)
-        assert all(p[-1] == 0.0 for p in f.parts)
-        assert f.total() <= 1 + 1e-12
-        assert f.total() + f.loss == pytest.approx(1.0, abs=1e-9)
+    for spec in (het_spec, b37_spec):
+        for x in random_states(spec, rng, 30):
+            f = field(x, spec, policy)
+            assert all((p >= 0).all() for p in f.parts)
+            assert all(p[-1] == 0.0 for p in f.parts)
+            assert f.total() <= 1 + 1e-12
+            assert f.total() + f.loss == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES + [Policy("jsq", control=0.4),
+                                    Policy("jsqd", d=2, control=0.7)],
+                         ids=lambda p: p.label())
+def test_field_matches_per_type_reference(het_spec, b37_spec, policy):
+    """The padded-array fields equal the per-type loop form bit for bit."""
+    rng = np.random.default_rng(11)
+    for spec in (het_spec, b37_spec):
+        thresholds = [t.mpl for t in spec.types]
+        for x in random_states(spec, rng, 30):
+            f = field(x, spec, policy)
+            ref, loss = per_type_field(x.parts, thresholds, policy)
+            assert all(np.array_equal(a, b) for a, b in zip(f.parts, ref))
+            assert f.loss == loss
 
 
 # --- finite-N sampling rule -----------------------------------------------------

@@ -71,7 +71,7 @@ def test_parse_heterogeneous():
     ]
     spec, _, _ = parse_config(json.dumps(doc))
     assert spec.k == 2
-    assert spec.mu(1, 3) == pytest.approx(2.4)
+    assert spec.types[1].curve.rates[3] == pytest.approx(2.4)
 
 
 def test_empty_types_rejected():
@@ -136,9 +136,17 @@ def test_occupancy_invariants(hom_spec):
     assert v.check(hom_spec) == []
     bad = Occupancy([np.full(11, 0.2)])
     assert any("mass" in msg for msg in bad.check(hom_spec))
-    flat = v.flat()
-    again = Occupancy.from_flat(hom_spec, flat)
+    again = Occupancy.from_array(v.array.copy(), v.buffers)
     assert np.array_equal(again.parts[0], v.parts[0])
+
+
+def test_occupancy_pads_unequal_buffers():
+    v = Occupancy([[0.1, 0.2], [0.3, 0.2, 0.1, 0.1]])
+    assert v.array.shape == (2, 4) and list(v.buffers) == [1, 3]
+    assert np.array_equal(v.array[0], [0.1, 0.2, 0.0, 0.0])
+    assert [len(p) for p in v.parts] == [2, 4]
+    v.parts[0][1] = 0.5  # parts are views into the padded array
+    assert v.array[0, 1] == 0.5
 
 
 def test_model_types_hashable_and_frozen(hom_spec):

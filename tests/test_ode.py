@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from lbmf import ode, sim, stationary
+from lbmf import dispatch, ode, sim, stationary
 from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
                         ServerType, ServiceRateCurve)
+
+from conftest import ALL_POLICIES
 
 
 def test_rhs_from_empty_state(hom_spec):
@@ -21,17 +23,57 @@ def test_rhs_zero_at_random_stationary(hom_spec):
     assert np.max(np.abs(d)) < 1e-12
 
 
-def test_rhs_conserves_type_mass(het_spec):
+def random_state(spec, rng):
+    parts = []
+    for t in spec.types:
+        v = rng.random(t.buffer + 1)
+        parts.append(t.gamma * v / v.sum())
+    return Occupancy(parts)
+
+
+def test_rhs_conserves_type_mass(het_spec, b37_spec):
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        parts = []
-        for t in het_spec.types:
-            v = rng.random(t.buffer + 1)
-            parts.append(t.gamma * v / v.sum())
-        for policy in (Policy("random"), Policy("jsq"), Policy("jbt")):
-            d = ode.rhs(Occupancy(parts), het_spec, policy)
-            for dk in d:
-                assert abs(dk.sum()) < 1e-14
+    for spec in (het_spec, b37_spec):
+        for _ in range(10):
+            x = random_state(spec, rng)
+            for policy in (Policy("random"), Policy("jsq"), Policy("jbt")):
+                d = ode.rhs(x, spec, policy)
+                for dk in d:
+                    assert abs(dk.sum()) < 1e-14
+
+
+def test_unequal_buffers_rhs_and_padding(b37_spec, monkeypatch):
+    """On buffers 3 and 7 the padded derivative equals the per-type formula
+    exactly, and entries past a buffer stay exactly zero while integrating."""
+    spec, lam = b37_spec, b37_spec.lam
+    past = np.arange(8) > np.array(spec.buffers)[:, None]
+    rng = np.random.default_rng(17)
+    for policy in ALL_POLICIES:
+        for _ in range(10):
+            x = random_state(spec, rng)
+            d = ode.rhs(x, spec, policy)
+            f = dispatch.field(x, spec, policy).parts
+            for k, (t, p, fp) in enumerate(zip(spec.types, x.parts, f)):
+                mu, b = t.curve.rates, t.buffer
+                want = [(lam * fp[i - 1] if i else 0.0) - lam * fp[i]
+                        + (mu[i + 1] * p[i + 1] if i < b else 0.0) - mu[i] * p[i]
+                        for i in range(b + 1)]
+                assert d[k, :b + 1].tolist() == want
+            assert (d[past] == 0.0).all()
+
+    seen = []
+    field = dispatch.field
+
+    def spy(x, spec, policy):
+        f = field(x, spec, policy)
+        seen.append(np.abs(x.array[past]).max() + np.abs(f.array[past]).max())
+        return f
+
+    monkeypatch.setattr(dispatch, "field", spy)
+    for policy in ALL_POLICIES:  # from a state with mass on every level
+        ode.integrate(random_state(spec, rng), spec, policy, horizon=2, dt=0.01,
+                      sample_interval=0.5)
+    assert len(seen) > 1000 and max(seen) == 0.0
 
 
 def test_zero_arrivals_constant_trajectory(hom_spec):
