@@ -8,9 +8,12 @@ lower level); subcritical JIQ is that state at i0 = 1. At a covering
 capacity all mass sits at i0 (``_critical``) and every completion there is
 refilled at once, so the refill rate ``z0`` is the load. Supercritical JIQ
 balances its refill rate ``z0`` at length 1, and JBT its mass y below the
-thresholds. Only JSQ(d) iterates a fixed point, of its vector balance
-equations. Every solver returns a StationaryReport with the distribution,
-regime tag, loss probability and per-type effective arrival rates.
+thresholds. JSQ(d) balances the arrival rate per server at each length,
+which all types share: bisection on the idle mass of one pooled type with
+the capacity curve, then Newton stages of a homotopy from the pooled rates
+to each type's own. Every solver returns a StationaryReport with the
+distribution, regime tag, loss probability and per-type effective arrival
+rates.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
                     ValidationError, validate)
 
 CRITICAL_BAND = 1e-10
-FP_DAMPING = 0.5
-FP_TOL = 1e-12
-FP_MAX_ITER = 10 ** 6
-JSQD_TOL = 1e-10  # balance residual a JSQ(d) solution must reach
+# JSQ(d) homotopy stages: Newton converges at |T(alpha) - alpha| <= NEWTON_TOL
+# lam d and fails after NEWTON_ITER iterations or HALVINGS halvings of a step;
+# a stage that took at most QUICK_ITER doubles, one that failed halves.
+NEWTON_TOL, NEWTON_ITER, HALVINGS, QUICK_ITER = 1e-14, 20, 30, 3
+STAGE_FLOOR = 1e-6
 
 CONTINUOUS_REGIMES = ("random", "jsqd", "jbt", "jiq-subcritical", "jsq-subcritical")
 
@@ -52,34 +56,6 @@ class StationaryReport:
             "loss_prob": self.loss_prob,
             "lambda_eff": list(self.lambda_eff),
         }
-
-
-def _damped_fixed_point(g, x0, damping=FP_DAMPING, tol=FP_TOL, max_iter=FP_MAX_ITER):
-    """Iterate x <- (1-damping) x + damping g(x) until the update stalls below tol.
-
-    After the tolerance is met, keeps polishing while updates still shrink,
-    which typically lands within a few ulps of the fixed point.
-    """
-    x = np.asarray(x0, dtype=float)
-    last = np.inf
-    for it in range(max_iter):
-        nxt = (1 - damping) * x + damping * np.asarray(g(x), dtype=float)
-        delta = float(np.max(np.abs(nxt - x)))
-        x = nxt
-        if delta < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed point did not converge in {max_iter} iterations", residual=delta
-        )
-    for _ in range(500):
-        nxt = (1 - damping) * x + damping * np.asarray(g(x), dtype=float)
-        delta = float(np.max(np.abs(nxt - x)))
-        x = nxt
-        if delta == 0.0 or delta >= last:
-            break
-        last = delta
-    return x
 
 
 def _bisect(f, lo, hi):
@@ -271,47 +247,86 @@ def jsqd_balance_residual(spec: ClusterSpec, d: int, nu: Occupancy) -> float:
     return float(max(np.abs(flow).max(), np.abs(mass).max()))
 
 
+def _dd(a, b, d):
+    """(a**d - b**d) / (a - b) as sum_{j<d} a**j b**(d-1-j), which does not
+    cancel when a and b are close; floats or arrays."""
+    h = p = 1.0
+    for _ in range(d - 1):
+        p = p * a
+        h = h * b + p
+    return h
+
+
+def _pooled_rates(lam, cap, d):
+    """Level arrival rates of one type with rates cap[i], shooting up from
+    the largest idle mass whose chain does not run out before the buffer."""
+    def shoot(m0):
+        z, m, alpha = 1.0, m0, []
+        for c in cap:
+            nz = max(z - m, 0.0)
+            alpha.append(lam * _dd(z, nz, d))
+            z, m = nz, m * alpha[-1] / c
+        return m - z, alpha  # mass wanted at the buffer beyond what is left
+
+    return np.array(shoot(_bisect(lambda m0: shoot(m0)[0], 0.0, 1.0))[1])
+
+
+def _newton(f, x, tol):
+    """Newton on f(x) = 0, x >= 0, with a forward-difference Jacobian; each
+    step is halved until |f|_inf falls. Returns the root, or None where it
+    stops short of tol, with the iterations taken and the residual."""
+    r = f(x)
+    res = np.abs(r).max()
+    for it in range(NEWTON_ITER):
+        if res <= tol:
+            return x, it, res
+        h = 1e-7 * np.maximum(x, 1.0)
+        step = np.linalg.solve((f(x + np.diag(h)) - r).T / h, -r)
+        for _ in range(HALVINGS):
+            cand = np.maximum(x + step, 0.0)
+            if np.abs(rc := f(cand)).max() < res:
+                break
+            step /= 2
+        else:
+            break
+        x, r, res = cand, rc, np.abs(rc).max()
+    return (x if res <= tol else None), NEWTON_ITER, res
+
+
 def solve_jsqd(spec: ClusterSpec, d: int) -> StationaryReport:
-    """Fixed point of the power-of-d balance equations.
+    """Balance in the level arrival rates alpha[i] = lam (z[i]**d -
+    z[i+1]**d) / m[i], which every type's birth-death chain shares.
 
-    Iterates the per-level arrival intensities implied by the current state;
-    falls back to integrating the transient equations when that stalls.
+    One pooled type with the capacity curve is solved by bisection. Its
+    rates are then carried to each type's by mu_k(t) = (1 - t) cap + t mu_k,
+    a level past the type's buffer fading out at rate cap / (1 - t), in
+    stages of t from 0 to 1, each solving alpha = T_t(alpha) by Newton.
+    The pooled rates already solve one type, or identical ones.
     """
-    if d == 1:
-        rep = solve_random(spec)
-        return StationaryReport(rep.nu, "jsqd", rep.loss_prob, rep.lambda_eff)
-    lam = spec.lam
-    rates = spec.rates
-    gammas = spec.gammas()[:, None]
+    lam, buffers = spec.lam, np.array(spec.buffers)
+    cap = np.array([_capacity(spec, i) for i in range(1, buffers.max() + 1)])
+    inside = np.arange(1, buffers.max() + 1) <= buffers[:, None]
 
-    def g(x):
-        m, bracket = dispatch.jsqd_bracket(np.maximum(x, 0.0), d)
-        beta = np.divide(lam * bracket, m, out=np.zeros_like(m), where=m > 0)
-        # each type's chain u[i] = u[i-1] beta[i-1] / mu(i), zero past its buffer
-        step = np.zeros_like(rates)
-        step[:, 0] = 1.0
-        np.divide(beta[:-1], rates[:, 1:], out=step[:, 1:], where=rates[:, 1:] > 0)
-        u = np.cumprod(step, axis=1)
-        return gammas * u / u.sum(axis=1, keepdims=True)
+    def state(alpha, t):
+        w = (np.where(inside, 1.0, 1.0 - t)
+             / np.where(inside, (1 - t) * cap + t * spec.rates[:, 1:], cap))
+        u = np.insert(np.cumprod(alpha[..., None, :] * w, axis=-1), 0, 1.0, axis=-1)
+        return spec.gammas()[:, None] * u / u.sum(axis=-1, keepdims=True)
 
-    start = solve_random(spec).nu
-    try:
-        nu = Occupancy.from_array(_damped_fixed_point(g, start.array), start.buffers)
-    except ConvergenceError:
-        nu = None
-    if nu is None or jsqd_balance_residual(spec, d, nu) > JSQD_TOL:
-        from . import ode  # deferred: ode pulls in the trajectory machinery
+    def excess(alpha, t):
+        z = np.cumsum(state(alpha, t).sum(axis=-2)[..., ::-1], axis=-1)[..., ::-1]
+        return lam * _dd(z[..., :-1], z[..., 1:], d) - alpha
 
-        policy = Policy("jsqd", d=d)
-        x = ode.solve_to_stationarity(Occupancy.empty(spec), spec, policy,
-                                      tol=1e-9, dt=0.01).array
-        for _ in range(10):
-            x = g(x)
-        nu = Occupancy.from_array(x, start.buffers)
-        res = jsqd_balance_residual(spec, d, nu)
-        if res > JSQD_TOL:
-            raise ConvergenceError("jsqd balance equations did not converge",
-                                   residual=res, state=nu)
+    alpha, t, stage = _pooled_rates(lam, cap, d), 0.0, 1.0
+    while t < 1.0:
+        nxt = min(1.0, t + stage)
+        found, its, res = _newton(lambda a: excess(a, nxt), alpha, NEWTON_TOL * lam * d)
+        if found is not None:
+            alpha, t, stage = found, nxt, stage * (2 if its <= QUICK_ITER else 1)
+        elif (stage := stage / 2) < STAGE_FLOOR:
+            raise ConvergenceError(f"jsqd({d}) at lambda {lam}: the rate homotopy stalls "
+                                   f"at t = {t:.6g}, residual {res:.3g}", residual=res)
+    nu = Occupancy.from_array(state(alpha, 1.0), buffers)
     return _report_continuous(spec, Policy("jsqd", d=d), nu, "jsqd")
 
 

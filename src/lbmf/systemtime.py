@@ -133,12 +133,6 @@ def _weights(queues):
     return [(k, j, w) for k, q in enumerate(queues) for j, w in q.levels.items()]
 
 
-def sojourn_weights(spec: ClusterSpec, policy: Policy, report: StationaryReport):
-    """Expose the entry weights (k, entry length, weight) for inspection."""
-    _check_regime(policy, report)
-    return _weights(_queues(spec, policy, report))
-
-
 def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     """Mean system time of admitted jobs, plus the per-type H tables.
 

@@ -44,3 +44,12 @@ def b5_spec():
     """Homogeneous cluster truncated to buffer 5 (distribution studies)."""
     return ClusterSpec(lam=1.25, types=(
         ServerType(1.0, ServiceRateCurve.from_mu(HOM_MU[:5]), mpl=5),))
+
+
+@pytest.fixture(scope="session")
+def b266_spec():
+    """Three types with buffers 2, 6 and 6, the shortest on 1% of servers."""
+    return ClusterSpec(lam=1.0, types=(
+        ServerType(0.01, ServiceRateCurve.from_mu([0.98, 0.98])),
+        ServerType(0.53, ServiceRateCurve.from_mu([1.04, 1.04, 1.04, 1.23, 1.23, 1.43])),
+        ServerType(0.46, ServiceRateCurve.from_mu([0.41, 0.41, 0.52, 0.52, 0.52, 0.59]))))

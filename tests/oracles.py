@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from lbmf import systemtime
+
 
 def brute_force_choice_of_two(parts):
     """Dispatch probabilities for 'sample two queues independently, join the
@@ -263,3 +265,10 @@ def sample_target(lengths, types, spec, policy, rng):
             return int(rng.choice(avail))
         return uniform_all()
     raise ValueError(f"unknown policy kind {kind!r}")
+
+
+def sojourn_weights(spec, policy, report):
+    """Entry weights (k, entry length, weight) of the system-time recursion
+    in the report's regime, for inspection."""
+    systemtime._check_regime(policy, report)
+    return systemtime._weights(systemtime._queues(spec, policy, report))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lbmf import ode, stationary, systemtime
-from lbmf.model import (ClusterSpec, Occupancy, Policy, ServerType,
-                        ServiceRateCurve, ValidationError)
+from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
+                        ServerType, ServiceRateCurve, ValidationError)
 
 from conftest import ALL_POLICIES
 from oracles import mm1b_mean_system_time
@@ -91,6 +91,30 @@ def test_jsqd_balance_residuals(hom_spec, het_spec):
             assert stationary.jsqd_balance_residual(spec, d, rep.nu) < 1e-10
 
 
+@pytest.mark.parametrize("lam,d", [(0.5, 2), (0.9, 2), (0.7, 3), (0.9, 20)])
+def test_jsqd_unit_rate_tails_closed_form(lam, d):
+    """One type with rate 1: the tails are lam**((d**i - 1) / (d - 1))
+    (Vvedenskaya, Dobrushin & Karpelevich 1996; Mitzenmacher 2001); at
+    buffer 12 the truncation is far below roundoff."""
+    spec = ClusterSpec(lam=lam, types=(ServerType(1.0, ServiceRateCurve.from_mu([1.0] * 12)),))
+    nu = stationary.solve_jsqd(spec, d).nu.parts[0]
+    tails = np.cumsum(nu[::-1])[::-1]
+    i = np.arange(13.0)
+    assert np.abs(tails - lam ** ((d ** i - 1) / (d - 1))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cluster,rho", [("hom_spec", 0.9999), ("het_spec", 0.999),
+                                         ("b266_spec", 0.999)])
+def test_jsqd_near_critical(request, cluster, rho):
+    """d = 20 close to full capacity, where the mass piles up below a
+    double-exponential front that moves as the load rises; with unequal
+    buffers the pooled start differs most from the types' own balance."""
+    types = request.getfixturevalue(cluster).types
+    spec = ClusterSpec(lam=rho * capacity(types, max(t.buffer for t in types)), types=types)
+    rep = stationary.solve_jsqd(spec, 20)
+    assert stationary.jsqd_balance_residual(spec, 20, rep.nu) <= 1e-12
+
+
 def test_jbt_threshold_one_equals_jiq_subcritical():
     spec = ClusterSpec(lam=0.8, types=(
         ServerType(1.0, ServiceRateCurve.from_mu([1.0] * 6), mpl=1),))
@@ -143,13 +167,24 @@ def test_balance_residual_or_rhs(hom_spec, het_spec, policy):
                 assert abs(p.sum() - t.gamma) < 1e-12
 
 
+def test_jsqd_stalled_homotopy_names_its_stage(het_spec, monkeypatch):
+    """With no Newton iterations allowed every stage fails; the error names
+    the policy, the load, the stage reached and the residual."""
+    monkeypatch.setattr(stationary, "NEWTON_ITER", 0)
+    with pytest.raises(ConvergenceError, match=r"jsqd\(2\) at lambda 1\.6: .* t = 0, residual") as err:
+        stationary.solve_jsqd(het_spec, 2)
+    assert err.value.residual > 0
+
+
 @pytest.mark.parametrize("policy,kind", [(Policy("random"), "random"),
                                          (Policy("jsqd", d=2), "jsqd"),
-                                         (Policy("jbt"), "jbt")])
-def test_solvers_agree_with_transient_limit(hom_spec, policy, kind):
-    rep = stationary.solve(hom_spec, policy)
-    nu = ode.solve_to_stationarity(Occupancy.empty(hom_spec), hom_spec, policy,
-                                   tol=1e-8, dt=0.01)
+                                         (Policy("jbt"), "jbt"),
+                                         (Policy("jsqd", d=2), "jsqd-het"),
+                                         (Policy("jsqd", d=5), "jsqd-het")])
+def test_solvers_agree_with_transient_limit(request, policy, kind):
+    spec = request.getfixturevalue("het_spec" if kind.endswith("-het") else "hom_spec")
+    rep = stationary.solve(spec, policy)
+    nu = ode.solve_to_stationarity(Occupancy.empty(spec), spec, policy, tol=1e-8, dt=0.01)
     assert max(np.max(np.abs(a - b)) for a, b in zip(nu.parts, rep.nu.parts)) < 1e-6
 
 
@@ -204,20 +239,25 @@ def capacity(types, i):
     return sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in types)
 
 
+SWEEP_POLICIES = {"jiq": [Policy("jiq")], "jbt": [Policy("jbt")], "jsq": [Policy("jsq")],
+                  "jsqd": [Policy("jsqd", d=d) for d in (2, 5, 20)]}
+
+
 def sweep_loads(rng, types):
     """Random loads across each policy's stability region, loads exactly at
     each covering capacity, and loads just either side of sum(gamma mu(1))."""
     full = capacity(types, max(t.buffer for t in types))
     limits = {"jiq": full, "jbt": sum(t.gamma * t.curve.rates[t.mpl] for t in types),
-              "jsq": capacity(types, min(t.buffer for t in types))}
+              "jsq": capacity(types, min(t.buffer for t in types)), "jsqd": full}
     loads = []
     for kind, limit in limits.items():
         for rho in (*rng.uniform(0.0, 1.0, 3), 1 - 10 ** -rng.uniform(2, 6)):
             loads.append(rho * limit)
     loads += [capacity(types, i) for i in range(1, max(t.buffer for t in types) + 1)]
     loads += [capacity(types, 1) * (1 + e) for e in (-1e-9, 1e-9)]
-    return [(lam, kind) for lam in loads for kind, limit in limits.items()
-            if 0 < lam < full and (lam <= limit if kind == "jsq" else lam < limit)]
+    return [(lam, policy) for lam in loads for kind, limit in limits.items()
+            if 0 < lam < full and (lam <= limit if kind == "jsq" else lam < limit)
+            for policy in SWEEP_POLICIES[kind]]
 
 
 def balance_residual(spec, policy, rep):
@@ -246,18 +286,18 @@ def balance_residual(spec, policy, rep):
 
 
 def test_random_specs_balance_little_and_mass():
-    """Seeded sweep over random specs: every jiq/jsq/jbt solve satisfies its
-    balance equations, its mean sojourn agrees with Little's law, and its
-    transform at 0 carries the admitted mass (the C08 identity)."""
+    """Seeded sweep over random specs: every jiq/jsq/jbt/jsqd(2, 5, 20) solve
+    satisfies its balance equations, its mean sojourn agrees with Little's
+    law, and its transform at 0 carries the admitted mass (the C08 identity)."""
     rng = np.random.default_rng(2024)
     regimes = set()
     for _ in range(12):
         types = random_spec(rng)
-        for lam, kind in sweep_loads(rng, types):
-            spec, policy = ClusterSpec(lam=float(lam), types=types), Policy(kind)
+        for lam, policy in sweep_loads(rng, types):
+            spec = ClusterSpec(lam=float(lam), types=types)
             rep = stationary.solve(spec, policy)
             regimes.add(rep.regime)
-            where = (kind, lam, rep.regime, types)
+            where = (policy.label(), lam, rep.regime, types)
             assert balance_residual(spec, policy, rep) <= 1e-12, where
             mean, _ = systemtime.mean_sojourn(spec, policy, rep)
             _, little = stationary.little(spec, policy, rep)
@@ -265,4 +305,4 @@ def test_random_specs_balance_little_and_mass():
             mass = systemtime.transform(spec, policy, rep)(0j).real
             assert abs(mass + rep.loss_prob - 1.0) < 1e-9, where
     assert regimes == {"jiq-subcritical", "jiq-critical", "jiq-supercritical",
-                       "jsq-subcritical", "jsq-critical", "jsq", "jbt"}
+                       "jsq-subcritical", "jsq-critical", "jsq", "jbt", "jsqd"}

@@ -5,6 +5,7 @@ from lbmf import stationary, systemtime
 from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve
 
 from conftest import ALL_POLICIES
+from oracles import sojourn_weights
 
 
 def closed_form_b5(s):
@@ -82,7 +83,7 @@ def reference_transform(spec, policy, rep, s):
                         num += a[j] * h[i][j + 1]
                     h[i][j] = num / (s + a[j] + mu[j])
         tables.append(h)
-    weights = systemtime.sojourn_weights(spec, policy, rep)
+    weights = sojourn_weights(spec, policy, rep)
     return complex(sum(w * tables[k][j][j] for k, j, w in weights))
 
 
@@ -99,7 +100,7 @@ def assert_means_match_reference(spec, policy, rep):
         defined = (i >= 1) & (j >= np.maximum(i, lo)) & (j < h.shape[0])
         assert np.all(np.abs(h - ref)[defined] <= 1e-14 * np.abs(ref[defined])), rep.regime
         assert not h[~defined].any()
-    weights = systemtime.sojourn_weights(spec, policy, rep)
+    weights = sojourn_weights(spec, policy, rep)
     ref_mean = (sum(w * want[k][j][j] for k, j, w in weights)
                 / sum(w for _, _, w in weights))
     assert mean == pytest.approx(ref_mean, rel=1e-14)
@@ -209,7 +210,7 @@ def test_jbt_near_threshold_capacity(het_spec):
 
 def test_jsq_weights_touch_only_boundary_levels(hom_spec):
     rep = stationary.solve_jsq(hom_spec)
-    weights = systemtime.sojourn_weights(hom_spec, Policy("jsq"), rep)
+    weights = sojourn_weights(hom_spec, Policy("jsq"), rep)
     assert sorted((k, j) for k, j, _ in weights) == [(0, 3), (0, 4)]
     assert sum(w for _, _, w in weights) == pytest.approx(1.0)
 
@@ -218,7 +219,7 @@ def test_weights_sum_to_admitted_mass(hom_spec, het_spec):
     for spec in (hom_spec, het_spec):
         for policy in ALL_POLICIES:
             rep = stationary.solve(spec, policy)
-            weights = systemtime.sojourn_weights(spec, policy, rep)
+            weights = sojourn_weights(spec, policy, rep)
             assert sum(w for _, _, w in weights) == pytest.approx(
                 1.0 - rep.loss_prob, abs=1e-12)
 
