@@ -76,7 +76,10 @@ def parse_policy_name(text: str) -> Policy:
         kind, _, arg = text.partition(":")
         if kind != "jsqd":
             raise ConfigError(f"only jsqd takes an argument, got {text!r}")
-        return Policy("jsqd", d=int(arg))
+        try:
+            return Policy("jsqd", d=int(arg))
+        except ValueError:
+            raise ConfigError(f"jsqd:<d> needs an integer d, got {text!r}") from None
     if text == "jsqd":
         raise ConfigError("jsqd needs a choice count, e.g. jsqd:2")
     return Policy(text)
@@ -152,10 +155,13 @@ def _sim_cell(spec, policy, n, run, replications):
 
 def cmd_table(args) -> int:
     spec, policy, run = _load(args)
-    out = _outdir(args)
     policies = ([parse_policy_name(p) for p in args.policies.split(",")]
                 if args.policies else [policy])
-    ns = [(None if x in ("inf", "mf") else int(x)) for x in args.n.split(",")]
+    try:
+        ns = [(None if x in ("inf", "mf") else int(x)) for x in args.n.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n takes sizes or 'inf', got {args.n!r}") from None
+    out = _outdir(args)
     rows = []
     for pol in policies:
         cells = {"entire": {}, **{f"type{k}": {} for k in range(spec.k)}}

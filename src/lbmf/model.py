@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -221,8 +222,8 @@ def validate(spec: ClusterSpec, policy: Policy) -> list:
         for i in range(1, b):
             if rates[i] / i < rates[i + 1] / (i + 1) - 1e-15:
                 out.append(f"type {k}: per-job rate increases at i={i}")
-        if (rates[1:] and min(rates[1:]) < 0) or rates[0] < 0:
-            out.append(f"type {k}: negative service rate")
+        if min(rates[1:]) <= 0:
+            out.append(f"type {k}: service rates must be positive from length 1")
         if not (0 < t.gamma <= 1):
             out.append(f"type {k}: gamma must be in (0, 1], got {t.gamma}")
         if t.mpl is not None and not (1 <= t.mpl <= b):
@@ -247,6 +248,19 @@ def validate(spec: ClusterSpec, policy: Policy) -> list:
     if not (0 < policy.control <= 1):
         out.append(f"control must be in (0, 1], got {policy.control}")
     return out
+
+
+def _number(x, where) -> float:
+    if not isinstance(x, Real) or isinstance(x, bool):
+        raise ConfigError(f"{where}: expected a number, got {x!r}")
+    return float(x)
+
+
+def _count(x, where, least):
+    """An optional integer (not a bool), at least ``least``."""
+    if x is not None and (isinstance(x, bool) or not isinstance(x, Integral) or x < least):
+        raise ConfigError(f"{where}: expected an integer >= {least}, got {x!r}")
+    return x
 
 
 def _require_keys(obj, allowed, required, where):
@@ -276,9 +290,7 @@ def parse_config(text):
         doc = text
     _require_keys(doc, {"lambda", "types", "policy", "run"},
                   {"lambda", "types", "policy", "run"}, "config")
-    lam = doc["lambda"]
-    if not isinstance(lam, (int, float)) or isinstance(lam, bool):
-        raise ConfigError("lambda: expected a number")
+    lam = _number(doc["lambda"], "lambda")
     if not isinstance(doc["types"], list) or not doc["types"]:
         raise ConfigError("types: expected a nonempty array")
 
@@ -291,9 +303,10 @@ def parse_config(text):
         if mu and mu[0] == 0 and len(mu) > 1:
             # Catch the common mistake of writing the implicit zero rate.
             raise ConfigError(f"types[{k}].mu: starts at queue length 1; drop the leading 0")
-        types.append(ServerType(gamma=float(td["gamma"]),
-                                curve=ServiceRateCurve.from_mu(mu),
-                                mpl=td.get("mpl")))
+        types.append(ServerType(
+            gamma=_number(td["gamma"], f"types[{k}].gamma"),
+            curve=ServiceRateCurve.from_mu([_number(r, f"types[{k}].mu") for r in mu]),
+            mpl=_count(td.get("mpl"), f"types[{k}].mpl", 1)))
 
     gsum = sum(t.gamma for t in types)
     if abs(gsum - 1.0) > GAMMA_RENORM_LIMIT:
@@ -303,18 +316,21 @@ def parse_config(text):
 
     pd = doc["policy"]
     _require_keys(pd, {"kind", "d", "p"}, {"kind"}, "policy")
-    policy = Policy(kind=pd["kind"], d=pd.get("d"), control=float(pd.get("p", 1.0)))
+    policy = Policy(kind=pd["kind"], d=_count(pd.get("d"), "policy.d", 1),
+                    control=_number(pd.get("p", 1.0), "policy.p"))
 
     rd = doc["run"]
     _require_keys(rd, {"n_servers", "horizon", "dt", "seed", "sample_interval"},
                   {"horizon", "dt", "sample_interval"}, "run")
-    run = RunParams(horizon=float(rd["horizon"]), dt=float(rd["dt"]),
-                    sample_interval=float(rd["sample_interval"]),
-                    n_servers=rd.get("n_servers"), seed=rd.get("seed"))
+    run = RunParams(horizon=_number(rd["horizon"], "run.horizon"),
+                    dt=_number(rd["dt"], "run.dt"),
+                    sample_interval=_number(rd["sample_interval"], "run.sample_interval"),
+                    n_servers=_count(rd.get("n_servers"), "run.n_servers", 1),
+                    seed=_count(rd.get("seed"), "run.seed", 0))
     if run.horizon <= 0 or run.dt <= 0 or run.sample_interval <= 0:
         raise ConfigError("run: horizon, dt and sample_interval must be positive")
 
-    spec = ClusterSpec(lam=float(lam), types=tuple(types))
+    spec = ClusterSpec(lam=lam, types=tuple(types))
     violations = validate(spec, policy)
     if violations:
         raise ValidationError(violations)

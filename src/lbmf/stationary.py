@@ -1,19 +1,20 @@
 """Stationary occupancy of the deterministic limit, per policy.
 
-Random assignment has a closed form. JIQ, JSQ and JBT each reduce to one
-monotone scalar balance, solved by ``_bisect`` until its bracket stops
-shrinking. Below a covering capacity, JSQ holds its mass on lengths i0 - 1
-and i0 (``_two_level``, balanced in w, the arrival rate per server at the
-lower level); subcritical JIQ is that state at i0 = 1. At a covering
-capacity all mass sits at i0 (``_critical``) and every completion there is
-refilled at once, so the refill rate ``z0`` is the load. Supercritical JIQ
-balances its refill rate ``z0`` at length 1, and JBT its mass y below the
-thresholds. JSQ(d) balances the arrival rate per server at each length,
-which all types share: bisection on the idle mass of one pooled type with
-the capacity curve, then Newton stages of a homotopy from the pooled rates
-to each type's own. Every solver returns a StationaryReport with the
-distribution, regime tag, loss probability and per-type effective arrival
-rates.
+Every stationary state is a set of per-type birth-death chains: a type-k
+queue of length j receives jobs at rate ``arrivals[k, j]``, and a completion
+at the ``floor`` length is refilled at once. ``_chains`` builds the
+distribution and ``_report`` the loss and effective arrival rates, so each
+solver only finds its rates. Random assignment sends lam everywhere. JIQ,
+JSQ and JBT each reduce to one monotone scalar balance, solved by
+``_bisect``. Below a covering capacity, JSQ sends w to its floor i0 - 1 and
+holds its mass there and at i0 (``_two_level``); subcritical JIQ is that
+state at i0 = 1. At a covering capacity nothing arrives and all mass sits
+at the floor i0 (``_critical``). Supercritical JIQ balances its refill rate
+``z0`` at its floor 1 against the residual rate lam - z0 above it, and JBT
+the mass y below the thresholds, which receive lam / y. JSQ(d) balances the
+arrival rate per server at each length, which all types share: bisection on
+the idle mass of one pooled type with the capacity curve, then Newton
+stages of a homotopy from the pooled rates to each type's own.
 """
 
 from __future__ import annotations
@@ -33,15 +34,20 @@ CRITICAL_BAND = 1e-10
 NEWTON_TOL, NEWTON_ITER, HALVINGS, QUICK_ITER = 1e-14, 20, 30, 3
 STAGE_FLOOR = 1e-6
 
-CONTINUOUS_REGIMES = ("random", "jsqd", "jbt", "jiq-subcritical", "jsq-subcritical")
-
 
 @dataclass
 class StationaryReport:
+    """Distribution, regime tag, loss probability and per-type effective
+    arrival rates of a stationary state, with the arrival rates
+    ``arrivals[k, j]`` (laid out like ``nu``, lost at each buffer) and the
+    refilled ``floor`` length of the chains it was built from."""
+
     nu: Occupancy
     regime: str
     loss_prob: float
     lambda_eff: tuple
+    arrivals: np.ndarray
+    floor: int
     z0: float = 0.0
     i0: int | None = None
     y0: float | None = None
@@ -72,10 +78,40 @@ def _bisect(f, lo, hi):
     return mid
 
 
-def _report_continuous(spec, policy, nu, regime, **extra):
-    f = dispatch.field(nu, spec, policy)
-    lam_eff = tuple(spec.lam * float(fp.sum()) / t.gamma for t, fp in zip(spec.types, f.parts))
-    return StationaryReport(nu=nu, regime=regime, loss_prob=f.loss, lambda_eff=lam_eff, **extra)
+def _inside(spec):
+    """Mask of each type's lengths 0..B_k in the padded type-by-length layout."""
+    return np.arange(max(spec.buffers) + 1) <= np.array(spec.buffers)[:, None]
+
+
+def _chains(spec, arrivals, floor) -> np.ndarray:
+    """Per-type chains above ``floor``, padded like ``arrivals``: nu_k[j] is
+    proportional to the product of arrivals[k, l] / mu_k(l + 1) over
+    floor <= l < j, for floor <= j <= B_k, with mass gamma_k. Python floats,
+    since bisections call this some 55 times per solve."""
+    rows = []
+    for t, a in zip(spec.types, arrivals.tolist()):
+        mu, u = t.curve.rates, [1.0]
+        for j in range(floor, t.buffer):
+            u.append(u[-1] * a[j] / mu[j + 1])
+        total = sum(u)
+        rows.append([0.0] * floor + [t.gamma * x / total for x in u]
+                    + [0.0] * (len(a) - 1 - t.buffer))
+    return np.array(rows)
+
+
+def _report(spec, regime, arrivals, floor, **extra) -> StationaryReport:
+    """Report of the chains that ``arrivals`` drive above ``floor``. Type k
+    admits the arrivals below its buffer and the refills at the floor; the
+    arrivals at its buffer are lost."""
+    nu = _chains(spec, arrivals, floor)
+    k, buffers = np.arange(spec.k), np.array(spec.buffers)
+    flow = arrivals * nu
+    lost = flow[k, buffers]
+    flow[k, buffers] = 0.0
+    admitted = flow.sum(axis=1) + spec.rates[:, floor] * nu[:, floor]
+    return StationaryReport(Occupancy.from_array(nu, buffers), regime,
+                            float(lost.sum()) / spec.lam,
+                            tuple((admitted / spec.gammas()).tolist()), arrivals, floor, **extra)
 
 
 def _check_supported(spec, policy):
@@ -107,14 +143,7 @@ def solve(spec: ClusterSpec, policy: Policy) -> StationaryReport:
 
 def solve_random(spec: ClusterSpec) -> StationaryReport:
     """Closed form: each type is an independent birth-death chain."""
-    parts = []
-    for t in spec.types:
-        u = np.ones(t.buffer + 1)
-        for i in range(1, t.buffer + 1):
-            u[i] = u[i - 1] * spec.lam / t.curve.rates[i]
-        parts.append(t.gamma * u / u.sum())
-    nu = Occupancy(parts)
-    return _report_continuous(spec, Policy("random"), nu, "random")
+    return _report(spec, "random", spec.lam * _inside(spec), 0)
 
 
 def _capacity(spec, i) -> float:
@@ -126,26 +155,24 @@ def solve_jiq(spec: ClusterSpec) -> StationaryReport:
     """JIQ splits into three regimes against the idle-capacity rate."""
     crit = _capacity(spec, 1)
     if spec.lam < crit - CRITICAL_BAND:
-        rep = _two_level(spec, 1)
-        return _report_continuous(spec, Policy("jiq"), rep.nu, "jiq-subcritical", y0=rep.y0)
+        return replace(_two_level(spec, 1, "jiq-subcritical"), i0=None)
     if spec.lam <= crit + CRITICAL_BAND:
-        return replace(_critical(spec, 1), regime="jiq-critical", i0=None)
+        return replace(_critical(spec, 1, "jiq-critical"), i0=None)
     return _solve_jiq_supercritical(spec)
 
 
-def _two_level(spec, i0: int) -> StationaryReport:
-    """Mass on lengths {i0-1, i0}, as a two-level jsq report.
+def _two_level(spec, i0: int, regime) -> StationaryReport:
+    """Mass on lengths {i0-1, i0}: servers at i0 - 1, the floor, receive
+    arrivals at rate w each.
 
-    Servers at i0 - 1 receive arrivals at rate w each, so type k keeps
-    p_k = gamma_k mu_k(i0) / (w + mu_k(i0)) at the lower level, and the
-    throughput sum(p_k (w + mu_k(i0-1))) rises in w from the capacity at
-    i0 - 1 to the one at i0; w solves throughput = lam. Also serves
-    subcritical JIQ and JSQ (i0 = 1, where mu(0) = 0).
+    Type k then keeps p_k = gamma_k mu_k(i0) / (w + mu_k(i0)) at the lower
+    level, and the throughput sum(p_k (w + mu_k(i0-1))) rises in w from the
+    capacity at i0 - 1 to the one at i0; w solves throughput = lam. Also
+    serves subcritical JIQ and JSQ (i0 = 1, where mu(0) = 0).
     """
     lam = spec.lam
     gammas = spec.gammas()
-    mu_lo = np.array([t.curve.rates[i0 - 1] for t in spec.types])
-    mu_hi = np.array([t.curve.rates[i0] for t in spec.types])
+    mu_lo, mu_hi = spec.rates[:, i0 - 1], spec.rates[:, i0]
 
     def lower(w):
         return gammas * mu_hi / (w + mu_hi)
@@ -154,63 +181,31 @@ def _two_level(spec, i0: int) -> StationaryReport:
     w_max = float((gammas * mu_hi * (mu_hi - mu_lo)).sum()) / (_capacity(spec, i0) - lam)
     w = _bisect(lambda w: float((lower(w) * (w + mu_lo)).sum()) - lam, 0.0, w_max)
     p = lower(w)
-    parts = []
-    for t, gm, pk in zip(spec.types, gammas, p):
-        v = np.zeros(t.buffer + 1)
-        v[i0 - 1] = pk
-        v[i0] = gm - pk
-        parts.append(v)
-    lam_eff = tuple(p * (mu_lo + w) / gammas)
-    return StationaryReport(Occupancy(parts), "jsq", 0.0, lam_eff,
-                            z0=float((mu_lo * p).sum()), i0=i0, y0=float(p.sum()))
+    arrivals = np.zeros(spec.rates.shape)
+    arrivals[:, i0 - 1] = w
+    return _report(spec, regime, arrivals, i0 - 1,
+                   z0=float((mu_lo * p).sum()), i0=i0, y0=float(p.sum()))
 
 
-def _critical(spec, i0: int) -> StationaryReport:
+def _critical(spec, i0: int, regime) -> StationaryReport:
     """All mass at length i0, whose capacity equals the load: every
     completion is refilled at once, so the refill rate z0 is lam."""
-    parts = []
-    for t in spec.types:
-        v = np.zeros(t.buffer + 1)
-        v[i0] = t.gamma
-        parts.append(v)
-    lam_eff = tuple(t.curve.rates[i0] for t in spec.types)
-    return StationaryReport(Occupancy(parts), "jsq-critical", 0.0, lam_eff,
-                            z0=spec.lam, i0=i0, y0=0.0)
+    return _report(spec, regime, np.zeros(spec.rates.shape), i0, z0=spec.lam, i0=i0, y0=0.0)
 
 
 def _solve_jiq_supercritical(spec) -> StationaryReport:
     """No idle servers in the limit; the refill rate z0 balances the
-    completions at length 1 of the chain that the residual rate lam - z0
-    drives above it."""
-    lam = spec.lam
-    gammas = spec.gammas()
-    mu1 = np.array([t.curve.rates[1] for t in spec.types])
-
-    def shapes(r):
-        out = []
-        for t in spec.types:
-            s = np.ones(t.buffer)  # index m corresponds to queue length m+1
-            for i in range(2, t.buffer + 1):
-                s[i - 1] = s[i - 2] * r / t.curve.rates[i]
-            out.append(s)
-        return out
+    completions at length 1, the floor, of the chain that the residual rate
+    lam - z0 drives above it."""
+    above = _inside(spec)
+    above[:, 0] = False
 
     def excess(z):
-        nu1 = np.array([gm / s.sum() for gm, s in zip(gammas, shapes(lam - z))])
-        return z - float((mu1 * nu1).sum())
+        nu = _chains(spec, (spec.lam - z) * above, 1)
+        return z - float((spec.rates[:, 1] * nu[:, 1]).sum())
 
     z0 = _bisect(excess, 0.0, _capacity(spec, 1))
-    parts = []
-    for t, gm, s in zip(spec.types, gammas, shapes(lam - z0)):
-        v = np.zeros(t.buffer + 1)
-        v[1:] = gm * s / s.sum()
-        parts.append(v)
-    nu = Occupancy(parts)
-    loss = (1 - z0 / lam) * sum(p[-1] for p in nu.parts)
-    lam_eff = []
-    for t, p in zip(spec.types, nu.parts):
-        lam_eff.append((t.curve.rates[1] * p[1] + (lam - z0) * p[1:-1].sum()) / t.gamma)
-    return StationaryReport(nu, "jiq-supercritical", float(loss), tuple(lam_eff), z0=z0, y0=0.0)
+    return _report(spec, "jiq-supercritical", (spec.lam - z0) * above, 1, z0=z0, y0=0.0)
 
 
 def jsq_target_level(spec: ClusterSpec) -> int:
@@ -231,12 +226,8 @@ def solve_jsq(spec: ClusterSpec) -> StationaryReport:
              "unequal buffers this tight are not supported"]
         )
     if spec.lam > _capacity(spec, i0) - CRITICAL_BAND:
-        return _critical(spec, i0)
-    rep = _two_level(spec, i0)
-    if i0 == 1:
-        return _report_continuous(spec, Policy("jsq"), rep.nu, "jsq-subcritical",
-                                  i0=1, y0=rep.y0)
-    return rep
+        return _critical(spec, i0, "jsq-critical")
+    return _two_level(spec, i0, "jsq-subcritical" if i0 == 1 else "jsq")
 
 
 def jsqd_balance_residual(spec: ClusterSpec, d: int, nu: Occupancy) -> float:
@@ -303,9 +294,8 @@ def solve_jsqd(spec: ClusterSpec, d: int) -> StationaryReport:
     stages of t from 0 to 1, each solving alpha = T_t(alpha) by Newton.
     The pooled rates already solve one type, or identical ones.
     """
-    lam, buffers = spec.lam, np.array(spec.buffers)
-    cap = np.array([_capacity(spec, i) for i in range(1, buffers.max() + 1)])
-    inside = np.arange(1, buffers.max() + 1) <= buffers[:, None]
+    lam, inside = spec.lam, _inside(spec)[:, 1:]
+    cap = np.array([_capacity(spec, i) for i in range(1, inside.shape[1] + 1)])
 
     def state(alpha, t):
         w = (np.where(inside, 1.0, 1.0 - t)
@@ -326,8 +316,9 @@ def solve_jsqd(spec: ClusterSpec, d: int) -> StationaryReport:
         elif (stage := stage / 2) < STAGE_FLOOR:
             raise ConvergenceError(f"jsqd({d}) at lambda {lam}: the rate homotopy stalls "
                                    f"at t = {t:.6g}, residual {res:.3g}", residual=res)
-    nu = Occupancy.from_array(state(alpha, 1.0), buffers)
-    return _report_continuous(spec, Policy("jsqd", d=d), nu, "jsqd")
+    # past the longest buffer z[B + 1] = 0, so the lost rate there is lam z[B]**(d-1)
+    rates = np.append(alpha, lam * state(alpha, 1.0)[:, -1].sum() ** (d - 1))
+    return _report(spec, "jsqd", rates * _inside(spec), 0)
 
 
 def solve_jbt(spec: ClusterSpec) -> StationaryReport:
@@ -345,42 +336,26 @@ def solve_jbt(spec: ClusterSpec) -> StationaryReport:
              "outside the analyzed regime"]
         )
 
-    def chain(y):
-        parts = []
-        for t in spec.types:
-            u = np.zeros(t.buffer + 1)
-            u[0] = 1.0
-            for i in range(1, t.mpl + 1):
-                u[i] = u[i - 1] * lam / (y * t.curve.rates[i])
-            parts.append(t.gamma * u / u.sum())
-        return parts
+    below = np.arange(max(spec.buffers) + 1) < np.array([t.mpl for t in spec.types])[:, None]
 
     def excess(y):
-        return y - sum(p[: t.mpl].sum() for t, p in zip(spec.types, chain(y)))
+        return y - float((_chains(spec, lam / y * below, 0) * below).sum())
 
     y = _bisect(excess, 0.0, 1.0)
-    nu = Occupancy(chain(y))
-    return _report_continuous(spec, Policy("jbt"), nu, "jbt", y0=y)
+    return _report(spec, "jbt", lam / y * below, 0, y0=y)
 
 
 def little(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     """Per-type and overall mean system times from queue lengths and throughput.
 
     Per-type values are mean length over effective arrival rate; the overall
-    value weighs types by the arrivals they actually admit. Types receiving
-    no arrivals report None.
+    value weighs types by the arrivals they actually admit. Every type admits
+    at a positive rate: arrivals reach a length that holds mass, or refills
+    the floor.
     """
-    per_type = []
-    weights = []
+    per_type, weights = [], []
     for t, p, lam_k in zip(spec.types, report.nu.parts, report.lambda_eff):
-        mass = p.sum()
-        mean_len = float(np.arange(len(p)) @ p) / mass
-        if lam_k <= 0:
-            per_type.append(None)
-            weights.append(0.0)
-        else:
-            per_type.append(mean_len / lam_k)
-            weights.append(t.gamma * lam_k)
-    total_w = sum(weights)
-    overall = sum(w * h for w, h in zip(weights, per_type) if h is not None) / total_w
+        per_type.append(float(np.arange(len(p)) @ p) / p.sum() / lam_k)
+        weights.append(t.gamma * lam_k)
+    overall = sum(w * h for w, h in zip(weights, per_type)) / sum(weights)
     return tuple(per_type), float(overall)

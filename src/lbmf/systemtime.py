@@ -7,17 +7,17 @@ recursion
     H[i, j] = (c + mu[j] H[i-1, max(j-1, lo)] + a[j] H[i, j+1]) / (s + a[j] + mu[j])
 
 with c = 1, s = 0 and H[0, .] = 0 for the mean remaining times, and c = 0
-and H[0, .] = 1 for their Laplace transforms at s. A regime enters only as
-data: the arrival rates a[j] seen by a single queue and a floor level lo,
-the length at which a completion is refilled at once, so that shorter
-queues are never reached. Continuous policies take a from the stationary
-dispatch field and have lo = 0. Two-level JSQ sees ``(lam - z0) / y0`` only
-at its lower level i0 - 1, which is its floor. The critical regimes have no
-arrivals and their floor at the level i0 holding all mass (1 for JIQ), and
-supercritical JIQ adds the residual rate ``lam - z0`` on every level from
-1, its floor, to below the buffer. The buffer level never receives
-arrivals. Entry weights mirror how arriving jobs are spread over queue
-lengths; their total is the admitted fraction.
+and H[0, .] = 1 for their Laplace transforms at s. Every stationary state
+is a set of per-type chains, so the recursion reads it straight from the
+report: the arrival rates a[j] that a single queue of length j receives,
+and the floor lo, the length at which a completion is refilled at once, so
+that shorter queues are never reached. Arrivals at the buffer are lost, so
+a[B] counts as 0. A job joins a length-j queue at position j with weight
+
+    w_j = (a[j-1] nu[j-1] + [j = lo] mu[lo] nu[lo]) / lam,
+
+arrivals at length j - 1 plus, at the floor, refills; the weights over all
+types sum to the admitted fraction.
 
 ``mean_sojourn_lps`` covers limited processor sharing, where up to ``mpl``
 jobs split a server's capacity evenly: positions in service are
@@ -28,32 +28,22 @@ queue lengths both ways and is solved as a dense linear system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
 import numpy as np
 
-from . import dispatch, ilt
+from . import ilt
 from .model import ClusterSpec, Policy
-from .stationary import CONTINUOUS_REGIMES, StationaryReport
+from .stationary import StationaryReport
 
-RATE_FLOOR = 1e-14
 # Talbot points re-inverted with Euler, and the relative gap that flags one.
 CHECK_POINTS = 10
 CHECK_TOL = 1e-6
 
 
 def _check_regime(policy: Policy, report: StationaryReport):
-    kind = policy.kind
-    regime = report.regime
-    ok = (
-        (kind == "random" and regime == "random")
-        or (kind == "jiq" and regime.startswith("jiq"))
-        or (kind == "jsq" and regime.startswith("jsq") and not regime.startswith("jsqd"))
-        or (kind == "jsqd" and regime == "jsqd")
-        or (kind == "jbt" and regime == "jbt")
-    )
-    if not ok:
-        raise ValueError(f"report regime {regime!r} does not match policy {kind!r}")
+    """A regime tag starts with its policy kind, as in ``jiq-critical``."""
+    if report.regime.partition("-")[0] != policy.kind:
+        raise ValueError(f"report regime {report.regime!r} does not match policy {policy.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -68,44 +58,26 @@ class _Queue:
     lo: int
     levels: dict
 
+    def add_transform(self, s, acc):
+        """Add the entry-weighted diagonal H[j, j] of the transform recursion
+        at the 1-D complex points ``s`` into ``acc``; H[j, j] is final after
+        row j."""
+        for i, row in _rows(self, 0.0, 1.0, s):
+            if i in self.levels:
+                acc += self.levels[i] * row[i]
 
-def _queues(spec, policy, report):
-    """Per-type recursion inputs in the report's regime; the weights over
-    all types sum to one minus the loss."""
-    regime = report.regime
-    lam, z0 = spec.lam, report.z0
-    if regime in CONTINUOUS_REGIMES:
-        f = dispatch.field(report.nu, spec, policy)
-    elif regime not in ("jiq-critical", "jsq-critical", "jiq-supercritical", "jsq"):
-        raise ValueError(f"unknown regime {regime!r}")
+
+def _queues(spec, report):
+    """Per-type recursion inputs from the report's arrival rates and floor."""
+    lo, lam = report.floor, spec.lam
     queues = []
-    for k, (t, p) in enumerate(zip(spec.types, report.nu.parts)):
+    for t, a, p in zip(spec.types, report.arrivals.tolist(), report.nu.array.tolist()):
         b, mu = t.buffer, t.curve.rates
-        a, lo = [0.0] * (b + 1), 0
-        if regime in CONTINUOUS_REGIMES:
-            fp = f.parts[k]
-            for j in range(1, b):
-                if p[j] > 0:
-                    a[j] = lam * float(fp[j]) / float(p[j])
-                elif fp[j] > RATE_FLOOR:
-                    raise ValueError(
-                        f"dispatch mass on level {j} with no stationary mass; "
-                        "the continuous assembly does not apply"
-                    )
-            levels = {j: float(fp[j - 1]) for j in range(1, b + 1) if fp[j - 1]}
-        elif regime == "jsq":
-            lo = report.i0 - 1
-            a[lo] = (lam - z0) / report.y0
-            levels = {lo: mu[lo] * float(p[lo]) / lam,
-                      lo + 1: (1.0 - z0 / lam) * float(p[lo]) / report.y0}
-        else:  # critical regimes and jiq supercritical: level i0 refills at once
-            lo = report.i0 or 1
-            levels = {lo: mu[lo] * float(p[lo]) / lam}
-            if regime == "jiq-supercritical":
-                a[1:b] = [lam - z0] * (b - 1)
-                rest = 1.0 - z0 / lam
-                levels.update({j: w for j in range(2, b + 1)
-                               if (w := rest * float(p[j - 1]))})
+        a = a[:b] + [0.0]
+        levels = {}
+        for j in range(max(lo, 1), b + 1):
+            if w := a[j - 1] * p[j - 1] + (mu[lo] * p[lo] if j == lo else 0.0):
+                levels[j] = w / lam
         queues.append(_Queue(mu, a, lo, levels))
     return queues
 
@@ -129,20 +101,17 @@ def _rows(q: _Queue, c, first, s):
         yield i, row
 
 
-def _weights(queues):
-    return [(k, j, w) for k, q in enumerate(queues) for j, w in q.levels.items()]
-
-
 def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     """Mean system time of admitted jobs, plus the per-type H tables.
 
+    Each type's queue is the report's chain: arrival rates
+    ``report.arrivals`` above the refilled length ``lo = report.floor``.
     Table k has shape (B+1, B+2). Entry [i, j] is the mean remaining time of
-    a job at position i of a length-j queue, defined for max(i, lo) <= j <= B
-    with the regime's floor lo (i0 - 1 in two-level jsq, i0 in critical jsq);
+    a job at position i of a length-j queue, defined for max(i, lo) <= j <= B;
     every other entry is zero.
     """
     _check_regime(policy, report)
-    queues = _queues(spec, policy, report)
+    queues = _queues(spec, report)
     tables = []
     for q in queues:
         b = len(q.mu) - 1
@@ -151,18 +120,10 @@ def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
             start = max(i, q.lo)
             h[i, start:b + 1] = row[start:b + 1]
         tables.append(h)
-    weights = _weights(queues)
+    weights = [(k, j, w) for k, q in enumerate(queues) for j, w in q.levels.items()]
     total = sum(w for _, _, w in weights)
     mean = sum(w * tables[k][j][j] for k, j, w in weights) / total
     return float(mean), tables
-
-
-def _add_transform(q: _Queue, s, acc):
-    """Add the entry-weighted diagonal H[j, j] of the transform recursion at
-    the 1-D complex points ``s`` into ``acc``; H[j, j] is final after row j."""
-    for i, row in _rows(q, 0.0, 1.0, s):
-        if i in q.levels:
-            acc += q.levels[i] * row[i]
 
 
 def _pointwise(parts):
@@ -195,7 +156,7 @@ def transform(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     loss probability; divide by that mass for the proper density.
     """
     _check_regime(policy, report)
-    return _pointwise([partial(_add_transform, q) for q in _queues(spec, policy, report)])
+    return _pointwise([q.add_transform for q in _queues(spec, report)])
 
 
 @dataclass
@@ -262,10 +223,10 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
     The evaluator takes s the way ``transform``'s does: a complex scalar, or
     an ndarray of complex points evaluated with one stacked linear solve.
     Requires a multiprogramming level on every type and a regime where the
-    dispatch field is continuous at the stationary point; the discontinuous
-    regimes are not covered.
+    dispatch field is continuous at the stationary point, which are those
+    with floor 0; the discontinuous regimes are not covered.
     """
-    if report.regime not in CONTINUOUS_REGIMES:
+    if report.floor != 0:
         raise ValueError(
             f"lps system times are only defined for continuous regimes, not {report.regime!r}"
         )
@@ -273,21 +234,20 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
     for k, t in enumerate(spec.types):
         if t.mpl is None:
             raise ValueError(f"lps requires mpl on every type; type {k} has none")
-    queues = _queues(spec, policy, report)
-    systems = [_LpsSystem(q.mu, q.a, t.mpl) for q, t in zip(queues, spec.types)]
-    return _pointwise([partial(system.add, q.levels) for system, q in zip(systems, queues)])
+    return _pointwise([_LpsSystem(q, t.mpl).add for q, t in zip(_queues(spec, report), spec.types)])
 
 
 class _LpsSystem:
-    """Per-type processor-sharing system; entry j maps to the tagged job's
-    start state (in service if j <= mpl, else waiting at position j).
+    """Per-type processor-sharing system of one queue; entry j maps to the
+    tagged job's start state (in service if j <= mpl, else waiting at
+    position j).
 
     The matrix is stored without s, which only adds to its diagonal.
     """
 
-    def __init__(self, mu, a, mpl):
-        m = int(mpl)
-        b = len(mu) - 1
+    def __init__(self, q: _Queue, mpl):
+        mu, a, m, b = q.mu, q.a, int(mpl), len(q.mu) - 1
+        self.levels = q.levels
         index = {}
         for j in range(1, b + 1):
             index[(1, j)] = len(index)
@@ -313,7 +273,7 @@ class _LpsSystem:
         self.mat, self.rhs = mat, rhs
         self.entry = {j: index[(1, j) if j <= m else (j, j)] for j in range(1, b + 1)}
 
-    def add(self, levels, s, acc):
+    def add(self, s, acc):
         """Solve at every point of the 1-D complex array ``s`` with one
         stacked solve, and add the entry-weighted solutions into ``acc``.
         The stack holds len(s) dense n x n matrices."""
@@ -323,5 +283,5 @@ class _LpsSystem:
         diag = np.arange(n)
         mats[:, diag, diag] += s[:, None]
         sol = np.linalg.solve(mats, self.rhs)
-        for j, w in levels.items():
+        for j, w in self.levels.items():
             acc += w * sol[:, self.entry[j]]

@@ -12,7 +12,10 @@ import math
 
 import numpy as np
 
-from lbmf import systemtime
+from lbmf import dispatch
+
+# Regimes whose dispatch field is continuous at the stationary point.
+CONTINUOUS_REGIMES = ("random", "jsqd", "jbt", "jiq-subcritical", "jsq-subcritical")
 
 
 def brute_force_choice_of_two(parts):
@@ -267,8 +270,46 @@ def sample_target(lengths, types, spec, policy, rng):
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
+def reference_queues(spec, policy, report):
+    """Per type, the arrival rates a[0..B] that a single queue receives (0
+    at the buffer), the floor and the entry weights {j: w}, derived regime
+    by regime from the report's occupancy, z0, i0 and y0.
+
+    Continuous regimes take a[j] = lam f[j] / nu[j] from the stationary
+    dispatch field f, with the weights f[j - 1]. Two-level jsq sees
+    (lam - z0) / y0 at its floor i0 - 1, the critical regimes see nothing
+    and refill at i0 (1 for jiq), and supercritical jiq sees lam - z0 from
+    its floor 1 to below the buffer; refills at the floor enter there.
+    """
+    lam, z0 = spec.lam, report.z0
+    if report.regime in CONTINUOUS_REGIMES:
+        f = dispatch.field(report.nu, spec, policy)
+    out = []
+    for k, (t, p) in enumerate(zip(spec.types, report.nu.parts)):
+        b, mu = t.buffer, t.curve.rates
+        a, lo = np.zeros(b + 1), 0
+        if report.regime in CONTINUOUS_REGIMES:
+            fp = f.parts[k]
+            for j in range(b):
+                if p[j] > 0:
+                    a[j] = lam * fp[j] / p[j]
+            levels = {j: float(fp[j - 1]) for j in range(1, b + 1) if fp[j - 1]}
+        elif report.regime == "jsq":
+            lo = report.i0 - 1
+            a[lo] = (lam - z0) / report.y0
+            levels = {lo: mu[lo] * p[lo] / lam, lo + 1: (1.0 - z0 / lam) * p[lo] / report.y0}
+        else:
+            lo = report.i0 or 1
+            levels = {lo: mu[lo] * p[lo] / lam}
+            if report.regime == "jiq-supercritical":
+                a[1:b] = lam - z0
+                levels.update({j: (1.0 - z0 / lam) * p[j - 1] for j in range(2, b + 1)})
+        out.append((a, lo, levels))
+    return out
+
+
 def sojourn_weights(spec, policy, report):
     """Entry weights (k, entry length, weight) of the system-time recursion
-    in the report's regime, for inspection."""
-    systemtime._check_regime(policy, report)
-    return systemtime._weights(systemtime._queues(spec, policy, report))
+    in the report's regime."""
+    return [(k, j, w) for k, (_, _, levels) in enumerate(reference_queues(spec, policy, report))
+            for j, w in levels.items()]

@@ -7,6 +7,7 @@ so the suite is deterministic.
 import time
 
 import numpy as np
+import pytest
 
 from lbmf import ode, sim, stationary, systemtime
 from lbmf.model import (ClusterSpec, Occupancy, Policy, ServerType,
@@ -73,6 +74,7 @@ def test_c01_analytic_mean_times(hom_spec):
     )
 
 
+@pytest.mark.slow
 def test_c02_simulated_mean_times(hom_spec):
     t0 = time.monotonic()
     horizon, reps = 260.0, 8
@@ -212,6 +214,7 @@ def test_c08_mass_and_moment_identities(hom_spec, het_spec, b5_spec):
     assert ok
 
 
+@pytest.mark.slow
 def test_c09_fluctuation_scaling(hom_spec):
     t0 = time.monotonic()
     lo, hi = np.sqrt(10) / 2, 2 * np.sqrt(10)
@@ -237,6 +240,7 @@ def test_c09_fluctuation_scaling(hom_spec):
     assert ok
 
 
+@pytest.mark.slow
 def test_c10_sojourn_distribution_ks(b5_spec):
     t0 = time.monotonic()
     horizon = 120.0

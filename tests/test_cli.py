@@ -224,3 +224,27 @@ def test_table_heterogeneous_per_type_rows(tmp_path):
     assert by_scope["type0"] == pytest.approx(8.425, abs=5e-3)
     assert by_scope["type1"] == pytest.approx(1.274, abs=5e-3)
     assert by_scope["entire"] == pytest.approx(5.933, abs=5e-3)
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["table", "--policies", "jsqd:x"], {}),
+    (["table", "--policies", "jsqd:2.5"], {}),
+    (["table", "--n", "1e3"], {}),
+    (["table"], {"policy": {"kind": "jsqd", "d": 2.5}}),
+    (["transient"], {"policy": {"kind": "jsqd", "d": 2.5}}),
+    (["table"], {"policy": {"kind": "jsqd", "d": True}}),
+    (["table"], {"types": [{"gamma": 1.0, "mu": HOM_MU, "mpl": 2.5}]}),
+    (["table"], {"types": [{"gamma": "x", "mu": HOM_MU}]}),
+    (["table"], {"types": [{"gamma": 1.0, "mu": ["a"]}]}),
+    (["transient", "--overlay-sim"], {"run": {"n_servers": 2.5, "horizon": 1.0, "dt": 0.01,
+                                              "sample_interval": 0.5}})],
+    ids=["policies-jsqd:x", "policies-jsqd:2.5", "n-1e3", "table-d-2.5", "transient-d-2.5",
+         "d-true", "mpl-2.5", "gamma-x", "mu-a", "n_servers-2.5"])
+def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
+    """Malformed policies and config fields exit 1 with an error line, not
+    a traceback, before anything is computed."""
+    cfg = hom_config(tmp_path, **doc)
+    out = tmp_path / "out"
+    assert cli.main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

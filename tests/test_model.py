@@ -28,6 +28,15 @@ def test_decreasing_total_rate_flagged():
     assert any("decreases at i=1" in v for v in out)
 
 
+def test_zero_service_rate_flagged():
+    # the second type never serves, although the first alone covers the load
+    spec = ClusterSpec(lam=0.5, types=(
+        ServerType(0.5, ServiceRateCurve.from_mu([2.0, 2.0])),
+        ServerType(0.5, ServiceRateCurve.from_mu([0.0, 0.0]))))
+    assert any("type 1: service rates must be positive" in v
+               for v in validate(spec, Policy("random")))
+
+
 def test_per_job_rate_must_not_increase():
     # total rate 1 then 3: per-job rate grows from 1 to 1.5
     spec = ClusterSpec(lam=0.5, types=(
@@ -153,3 +162,20 @@ def test_model_types_hashable_and_frozen(hom_spec):
     with pytest.raises(AttributeError):
         hom_spec.types[0].gamma = 0.5  # frozen dataclass
     hash(hom_spec.types[0])
+
+
+@pytest.mark.parametrize("where,value", [
+    ("d", 2.5), ("d", True), ("mpl", 2.5), ("gamma", "x"), ("mu", ["a"]),
+    ("n_servers", 2.5), ("n_servers", -3), ("seed", 1.5)])
+def test_non_numeric_and_non_integer_fields_rejected(where, value):
+    """d, mpl, n_servers and seed are integers (not booleans); every other
+    value is a JSON number."""
+    doc = _hom_config(policy={"kind": "jsqd", "d": 2})
+    if where == "d":
+        doc["policy"]["d"] = value
+    elif where in doc["run"]:
+        doc["run"][where] = value
+    else:
+        doc["types"][0][where] = value
+    with pytest.raises(ConfigError, match=f"{where}: expected"):
+        parse_config(json.dumps(doc))

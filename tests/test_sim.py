@@ -122,6 +122,7 @@ def test_time_average_matches_exact_chain():
         assert z.max() < 4.0, (policy.label(), mean, exact)
 
 
+@pytest.mark.slow
 def test_random_policy_matches_closed_form(hom_spec):
     """Independent-queue closed form as the simulator's occupancy oracle."""
     rep = stationary.solve_random(hom_spec)

@@ -8,7 +8,7 @@ from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
                         ServerType, ServiceRateCurve, ValidationError)
 
 from conftest import ALL_POLICIES
-from oracles import mm1b_mean_system_time
+from oracles import CONTINUOUS_REGIMES, mm1b_mean_system_time, reference_queues
 
 
 def test_random_truncated_geometric():
@@ -150,7 +150,7 @@ def test_balance_residual_or_rhs(hom_spec, het_spec, policy):
     satisfy their refill balance instead."""
     for spec in (hom_spec, het_spec):
         rep = stationary.solve(spec, policy)
-        if rep.regime in stationary.CONTINUOUS_REGIMES:
+        if rep.regime in CONTINUOUS_REGIMES:
             res = max(np.max(np.abs(d)) for d in ode.rhs(rep.nu, spec, policy))
             assert res < 1e-8, rep.regime
         else:
@@ -260,11 +260,20 @@ def sweep_loads(rng, types):
             for policy in SWEEP_POLICIES[kind]]
 
 
+def sweep_cases():
+    """(spec, policy) over twelve seeded random specs and their sweep loads."""
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        types = random_spec(rng)
+        for lam, policy in sweep_loads(rng, types):
+            yield ClusterSpec(lam=float(lam), types=types), policy
+
+
 def balance_residual(spec, policy, rep):
     """Sup-norm defect of the report's stationary equations and type masses."""
     lam, z0 = spec.lam, rep.z0
     res = [abs(p.sum() - t.gamma) for t, p in zip(spec.types, rep.nu.parts)]
-    if rep.regime in stationary.CONTINUOUS_REGIMES:
+    if rep.regime in CONTINUOUS_REGIMES:
         res += [np.max(np.abs(d)) for d in ode.rhs(rep.nu, spec, policy)]
     elif rep.regime == "jsq":
         i0, w = rep.i0, (lam - z0) / rep.y0
@@ -289,20 +298,48 @@ def test_random_specs_balance_little_and_mass():
     """Seeded sweep over random specs: every jiq/jsq/jbt/jsqd(2, 5, 20) solve
     satisfies its balance equations, its mean sojourn agrees with Little's
     law, and its transform at 0 carries the admitted mass (the C08 identity)."""
-    rng = np.random.default_rng(2024)
     regimes = set()
-    for _ in range(12):
-        types = random_spec(rng)
-        for lam, policy in sweep_loads(rng, types):
-            spec = ClusterSpec(lam=float(lam), types=types)
-            rep = stationary.solve(spec, policy)
-            regimes.add(rep.regime)
-            where = (policy.label(), lam, rep.regime, types)
-            assert balance_residual(spec, policy, rep) <= 1e-12, where
-            mean, _ = systemtime.mean_sojourn(spec, policy, rep)
-            _, little = stationary.little(spec, policy, rep)
-            assert abs(mean - little) <= 1e-10 * little, where
-            mass = systemtime.transform(spec, policy, rep)(0j).real
-            assert abs(mass + rep.loss_prob - 1.0) < 1e-9, where
+    for spec, policy in sweep_cases():
+        rep = stationary.solve(spec, policy)
+        regimes.add(rep.regime)
+        where = (policy.label(), spec.lam, rep.regime, spec.types)
+        assert balance_residual(spec, policy, rep) <= 1e-12, where
+        mean, _ = systemtime.mean_sojourn(spec, policy, rep)
+        _, little = stationary.little(spec, policy, rep)
+        assert abs(mean - little) <= 1e-10 * little, where
+        mass = systemtime.transform(spec, policy, rep)(0j).real
+        assert abs(mass + rep.loss_prob - 1.0) < 1e-9, where
     assert regimes == {"jiq-subcritical", "jiq-critical", "jiq-supercritical",
                        "jsq-subcritical", "jsq-critical", "jsq", "jbt", "jsqd"}
+
+
+def assert_rates_match_reference(spec, policy, rep):
+    """The report's arrival rates, zero below the floor and past each
+    buffer, carry the flows a[j] nu[j] below each buffer, the floor, the
+    effective arrival rates and the loss that the oracle derives regime by
+    regime from the dispatch field. Flows, not rates: where a length holds
+    little mass, the field fixes its rate only loosely. The bound 2e-13 lam
+    is the one that the JSQ(d) solver's stop at |T(alpha) - alpha| <=
+    1e-14 lam d sets at d = 20."""
+    where = (policy.label(), spec.lam, rep.regime, spec.types)
+    inside = np.arange(rep.arrivals.shape[1]) <= rep.nu.buffers[:, None]
+    assert rep.arrivals.shape == rep.nu.array.shape and not rep.arrivals[~inside].any(), where
+    admitted = 0.0
+    for t, nu, a_k, lam_k, (a, lo, levels) in zip(
+            spec.types, rep.nu.parts, rep.arrivals, rep.lambda_eff,
+            reference_queues(spec, policy, rep)):
+        b, w = t.buffer, sum(levels.values())
+        assert rep.floor == lo and not a_k[:lo].any(), where
+        assert np.abs((a_k[:b] - a[:b]) * nu[:b]).max() <= 2e-13 * spec.lam, where
+        assert abs(lam_k - spec.lam * w / t.gamma) <= 2e-13 * spec.lam, where
+        admitted += w
+    assert abs(rep.loss_prob - (1.0 - admitted)) <= 2e-13, where
+
+
+def test_report_rates_match_dispatch_reference(hom_spec, het_spec, b5_spec):
+    """Every policy on the benchmark clusters, then the random-spec sweep."""
+    for spec in (hom_spec, het_spec, b5_spec):
+        for policy in ALL_POLICIES:
+            assert_rates_match_reference(spec, policy, stationary.solve(spec, policy))
+    for spec, policy in sweep_cases():
+        assert_rates_match_reference(spec, policy, stationary.solve(spec, policy))

@@ -5,7 +5,7 @@ from lbmf import stationary, systemtime
 from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve
 
 from conftest import ALL_POLICIES
-from oracles import sojourn_weights
+from oracles import reference_queues, sojourn_weights
 
 
 def closed_form_b5(s):
@@ -44,7 +44,7 @@ def reference_means(spec, policy, rep):
                     for j in range(i0 - 2, i - 1, -1):
                         h[i][j] = h[i][j + 1]
         else:
-            a = systemtime._queues(spec, policy, rep)[k].a
+            a = reference_queues(spec, policy, rep)[k][0]
             for i in range(1, b + 1):
                 for j in range(b, i - 1, -1):
                     num = 1.0 + mu[j] * h[i - 1][j - 1]
@@ -75,7 +75,7 @@ def reference_transform(spec, policy, rep, s):
                     for j in range(i0 - 2, i - 1, -1):
                         h[i][j] = h[i][j + 1]
         else:
-            a = systemtime._queues(spec, policy, rep)[k].a
+            a = reference_queues(spec, policy, rep)[k][0]
             for i in range(1, b + 1):
                 for j in range(b, i - 1, -1):
                     num = mu[j] * h[i - 1][j - 1]
@@ -342,6 +342,19 @@ def test_lps_mean_is_discipline_independent(hom_spec):
 
 
 def test_lps_rejects_discontinuous_regime(hom_spec):
-    rep = stationary.solve_jsq(hom_spec)
-    with pytest.raises(ValueError, match="continuous"):
-        systemtime.mean_sojourn_lps(hom_spec, Policy("jsq"), rep)
+    """Every report with a floor above 0 is refused: two-level jsq, both
+    critical regimes and supercritical jiq; below the idle capacity jiq and
+    jsq have floor 0 and are accepted."""
+    cases = [(1.25, "jsq", "jsq"), (1.1, "jsq", "jsq-critical"), (1.0, "jiq", "jiq-critical"),
+             (1.25, "jiq", "jiq-supercritical")]
+    for lam, kind, regime in cases:
+        spec = ClusterSpec(lam=lam, types=hom_spec.types)
+        rep = stationary.solve(spec, Policy(kind))
+        assert rep.regime == regime
+        with pytest.raises(ValueError, match="continuous"):
+            systemtime.mean_sojourn_lps(spec, Policy(kind), rep)
+    spec = ClusterSpec(lam=0.95, types=hom_spec.types)
+    for kind in ("jsq", "jiq"):
+        rep = stationary.solve(spec, Policy(kind))
+        assert rep.regime == f"{kind}-subcritical"
+        systemtime.mean_sojourn_lps(spec, Policy(kind), rep)
