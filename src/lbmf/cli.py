@@ -195,6 +195,9 @@ def cmd_table(args) -> int:
 
 def cmd_dist(args) -> int:
     spec, policy, run = _load(args)
+    for option, value in (("--points", args.points), ("--bins", args.bins)):
+        if value < 1:
+            raise ConfigError(f"{option} must be >= 1, got {value}")
     out = _outdir(args)
     report = stationary.solve(spec, policy)
     dist = systemtime.distribution(spec, policy, report)
@@ -231,8 +234,13 @@ def cmd_dist(args) -> int:
 
 def cmd_jsqd_sweep(args) -> int:
     spec, policy, run = _load(args)
+    try:
+        ds = [int(x) for x in args.d_list.split(",")]
+        if min(ds) < 1:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"--d-list takes integers >= 1, got {args.d_list!r}") from None
     out = _outdir(args)
-    ds = [int(x) for x in args.d_list.split(",")]
     for d in ds:
         traj = ode.integrate(Occupancy.empty(spec), spec, Policy("jsqd", d=d),
                              horizon=run.horizon, dt=run.dt,

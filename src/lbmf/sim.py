@@ -7,10 +7,18 @@ bucket. Servers of equal type and length are exchangeable for the dynamics,
 so the state is kept as counts per bucket plus member lists for O(1)
 uniform picks; per-server FIFO arrival stamps provide exact sojourn times.
 
-Randomness comes from one numpy PCG64 generator per run, consumed in
-blocks; identical seeds give bit-identical results. Replications derive
-child seeds by spawning the root seed sequence and may run in processes
-(capped by LBMF_THREADS).
+Randomness comes from one numpy PCG64 generator per run, read as two
+streams, exponentials and uniforms. Each stream is drawn in blocks of 2^14,
+and a block is drawn only when the stream's previous block is used up, so
+the first exponential block comes before the first uniform block. Every
+event takes one exponential (the time to it) and one uniform (arrival, or
+which bucket completes). Then come the uniforms of the pick. For an
+arrival these are the control coin when control < 1, then the servers
+(d distinct ones for JSQ(d)), then the tie-break among equally short
+candidates. A completion takes one uniform for the member of its bucket.
+This order and the block size fix the realization, so identical seeds give
+bit-identical results. Replications derive child seeds by spawning the root
+seed sequence and may run in processes (capped by LBMF_THREADS).
 """
 
 from __future__ import annotations
@@ -18,12 +26,14 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from math import inf
+from time import perf_counter
 
 import numpy as np
 
-from .model import ClusterSpec, Policy, Trajectory
+from .model import POLICY_KINDS, ClusterSpec, Policy, Trajectory
 
-_BLOCK = 1 << 14
+_BLOCK = 1 << 14  # draws per numpy call
 
 
 @dataclass
@@ -42,37 +52,22 @@ class SimResult:
     n: int
     horizon: float
     sample_interval: float
+    null_events: int  # completions the rate scan could not place (float edge)
+    wall_time: float  # seconds spent in run
 
     @property
     def admitted(self) -> int:
         return self.arrivals - self.losses
 
 
-class _Blocks:
-    """Block-buffered draws from one generator (exponentials and uniforms)."""
+def _draws(method):
+    """Python floats from ``method(_BLOCK)`` blocks, each drawn on first use.
 
-    def __init__(self, rng):
-        self.rng = rng
-        self._exp = rng.standard_exponential(_BLOCK)
-        self._uni = rng.random(_BLOCK)
-        self._ei = 0
-        self._ui = 0
-
-    def exp(self):
-        i = self._ei
-        if i == _BLOCK:
-            self._exp = self.rng.standard_exponential(_BLOCK)
-            i = 0
-        self._ei = i + 1
-        return self._exp[i]
-
-    def uni(self):
-        i = self._ui
-        if i == _BLOCK:
-            self._uni = self.rng.random(_BLOCK)
-            i = 0
-        self._ui = i + 1
-        return self._uni[i]
+    A memoryview makes one float per draw as it is read, so no block is
+    ever held as a list of Python floats.
+    """
+    while True:
+        yield from memoryview(method(_BLOCK))
 
 
 def place_servers(spec: ClusterSpec, n: int):
@@ -93,12 +88,12 @@ def place_servers(spec: ClusterSpec, n: int):
 def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         seed=None, sample_interval: float = 1.0) -> SimResult:
     """Simulate ``n`` servers from empty up to ``horizon``."""
+    wall0 = perf_counter()
     rng = np.random.default_rng(seed)
-    blocks = _Blocks(rng)
-    uni = blocks.uni
-    exp = blocks.exp
+    exp = _draws(rng.standard_exponential).__next__
+    uni = _draws(rng.random).__next__
 
-    kk = spec.k
+    types = range(spec.k)
     mu = [list(t.curve.rates) for t in spec.types]
     buf = [t.buffer for t in spec.types]
     mpl = [t.mpl for t in spec.types]
@@ -108,189 +103,180 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     for k, c in enumerate(counts):
         stype.extend([k] * c)
     qlen = [0] * n
-    bucket = [[[] for _ in range(buf[k] + 1)] for k in range(kk)]
+    bucket = [[[] for _ in range(buf[k] + 1)] for k in types]
     pos = [0] * n
     for j in range(n):
         b = bucket[stype[j]][0]
         pos[j] = len(b)
         b.append(j)
-    cnt = [[0] * (buf[k] + 1) for k in range(kk)]
-    for k in range(kk):
+    cnt = [[0] * (buf[k] + 1) for k in types]
+    for k in types:
         cnt[k][0] = counts[k]
-    max_b = max(buf)
-    level_tot = [0] * (max_b + 1)
+    level_tot = [0] * (max(buf) + 1)
     level_tot[0] = n
     fifo = [deque() for _ in range(n)]
+    busy = [range(1, buf[k] + 1) for k in types]  # lengths that serve
 
     lam_total = spec.lam * n
-    jsqd_all = policy.kind == "jsqd" and policy.d >= n
+    kind, d, control = policy.kind, policy.d, policy.control
+    if kind not in POLICY_KINDS:
+        raise ValueError(f"unknown policy kind {kind!r}")
+    if kind == "jsqd" and d < 1:
+        raise ValueError(f"jsqd requires d >= 1, got {d}")
+    if kind == "jsqd" and d >= n:
+        kind = "jsq"
+    is_jbt = kind == "jbt"
     rate_sum = 0.0  # total service rate; refreshed at sample times
     min_occ = 0
     avail = n  # servers strictly below their type threshold (jbt)
-    if policy.kind == "jbt":
-        avail = sum(counts[k] for k in range(kk) if mpl[k] >= 1)
+    if is_jbt:
+        avail = sum(counts[k] for k in types if mpl[k] >= 1)
 
     arr_t, dep_t, dep_k, dep_seen = [], [], [], []
-    arrivals = losses = completions = 0
+    arrivals = losses = completions = null_events = 0
 
     n_samples = int(horizon / sample_interval + 1e-9) + 1
-    traj = [np.empty((n_samples, buf[k] + 1)) for k in range(kk)]
+    traj = [np.empty((n_samples, buf[k] + 1)) for k in types]
     sample_idx = 0
-
-    def record_samples(upto):
-        nonlocal sample_idx, rate_sum
-        while sample_idx < n_samples and sample_idx * sample_interval <= upto + 1e-12:
-            for k in range(kk):
-                traj[k][sample_idx] = cnt[k]
-            sample_idx += 1
-            rate_sum = sum(
-                cnt[k][i] * mu[k][i] for k in range(kk) for i in range(1, buf[k] + 1)
-            )
-
-    def move(j, k, i, i_new):
-        # swap-pop from bucket (k, i), append to (k, i_new)
-        b = bucket[k][i]
-        p = pos[j]
-        last = b[-1]
-        b[p] = last
-        pos[last] = p
-        b.pop()
-        b2 = bucket[k][i_new]
-        pos[j] = len(b2)
-        b2.append(j)
-        cnt[k][i] -= 1
-        cnt[k][i_new] += 1
-        level_tot[i] -= 1
-        level_tot[i_new] += 1
-        qlen[j] = i_new
-
-    def pick_uniform_all():
-        j = int(uni() * n)
-        return j if j < n else n - 1
-
-    def pick_in_level(i, total):
-        r = int(uni() * total)
-        if r >= total:
-            r = total - 1
-        for k in range(kk):
-            if i <= buf[k]:
-                c = cnt[k][i]
-                if r < c:
-                    return bucket[k][i][r]
-                r -= c
-        raise AssertionError("level pick out of range")
-
-    def pick_jbt():
-        r = int(uni() * avail)
-        if r >= avail:
-            r = avail - 1
-        for k in range(kk):
-            for i in range(mpl[k]):
-                c = cnt[k][i]
-                if r < c:
-                    return bucket[k][i][r]
-                r -= c
-        raise AssertionError("availability pick out of range")
-
-    def pick_member(k, i):
-        c = cnt[k][i]
-        r = int(uni() * c)
-        if r >= c:
-            r = c - 1
-        return bucket[k][i][r]
-
-    kind = policy.kind
-    d = policy.d
-    control = policy.control
-
-    def pick_target():
-        k_eff = kind
-        if control < 1.0 and uni() >= control:
-            k_eff = "random"
-        if k_eff == "random":
-            return pick_uniform_all()
-        if k_eff == "jiq":
-            idle = level_tot[0]
-            return pick_in_level(0, idle) if idle else pick_uniform_all()
-        if k_eff == "jsq" or (k_eff == "jsqd" and jsqd_all):
-            return pick_in_level(min_occ, level_tot[min_occ])
-        if k_eff == "jsqd":
-            picked = []
-            while len(picked) < d:
-                c = pick_uniform_all()
-                if c not in picked:
-                    picked.append(c)
-            best = min(qlen[c] for c in picked)
-            ties = [c for c in picked if qlen[c] == best]
-            if len(ties) == 1:
-                return ties[0]
-            r = int(uni() * len(ties))
-            return ties[r if r < len(ties) else -1]
-        if k_eff == "jbt":
-            return pick_jbt() if avail else pick_uniform_all()
-        raise ValueError(f"unknown policy kind {k_eff!r}")
+    next_due = 0.0  # time of the next sample
 
     t = 0.0
     while True:
         rate = lam_total + rate_sum
-        if rate <= 0.0:
-            break
-        t_next = t + exp() / rate
-        record_samples(min(t_next, horizon))
+        t_next = t + exp() / rate if rate > 0.0 else horizon
+        if t_next + 1e-12 >= next_due:
+            upto = t_next if t_next < horizon else horizon
+            while sample_idx < n_samples and sample_idx * sample_interval <= upto + 1e-12:
+                for k in types:
+                    traj[k][sample_idx] = cnt[k]
+                sample_idx += 1
+                rate_sum = sum(cnt[k][i] * mu[k][i] for k in types for i in busy[k])
+            next_due = sample_idx * sample_interval if sample_idx < n_samples else inf
         if t_next >= horizon:
-            t = horizon
             break
         t = t_next
         x = uni() * rate
         if x < lam_total:
             arrivals += 1
-            j = pick_target()
+            pick = kind
+            if control < 1.0 and uni() >= control:
+                pick = "random"
+            if pick == "jsq" or pick == "jiq" and level_tot[0]:
+                # uniform over the shortest queues, all types
+                total = level_tot[min_occ]
+                r = int(uni() * total)
+                if r >= total:
+                    r = total - 1
+                for k in types:
+                    if min_occ <= buf[k]:
+                        c = cnt[k][min_occ]
+                        if r < c:
+                            break
+                        r -= c
+                j = bucket[k][min_occ][r]
+            elif pick == "jsqd":
+                # d distinct uniform servers; ties on the shortest break uniformly
+                picked = []
+                best = len(level_tot)
+                while len(picked) < d:
+                    c = int(uni() * n)
+                    if c >= n:
+                        c = n - 1
+                    if c not in picked:
+                        picked.append(c)
+                        q = qlen[c]
+                        if q < best:
+                            best = q
+                            ties = [c]
+                        elif q == best:
+                            ties.append(c)
+                if len(ties) == 1:
+                    j = ties[0]
+                else:
+                    r = int(uni() * len(ties))
+                    j = ties[r if r < len(ties) else -1]
+            elif pick == "jbt" and avail:
+                # uniform over the servers below their type threshold
+                r = int(uni() * avail)
+                if r >= avail:
+                    r = avail - 1
+                for k in types:
+                    row = cnt[k]
+                    for i in range(mpl[k]):
+                        if r < row[i]:
+                            break
+                        r -= row[i]
+                    else:
+                        continue
+                    break
+                j = bucket[k][i][r]
+            else:
+                j = int(uni() * n)
+                if j >= n:
+                    j = n - 1
             k = stype[j]
             i = qlen[j]
             if i >= buf[k]:
                 losses += 1
                 continue
-            move(j, k, i, i + 1)
-            rate_sum += mu[k][i + 1] - mu[k][i]
+            i_new = i + 1
+        else:
+            x -= lam_total
+            for k in types:
+                row = cnt[k]
+                mrow = mu[k]
+                for i in busy[k]:
+                    c = row[i]
+                    if c:
+                        w = c * mrow[i]
+                        if x < w:
+                            break
+                        x -= w
+                else:
+                    continue
+                break
+            else:
+                null_events += 1  # float edge at the top of the rate scan
+                continue
+            r = int(uni() * c)
+            j = bucket[k][i][r if r < c else c - 1]
+            i_new = i - 1
+        # move server j of type k from length i to i_new
+        row = bucket[k]
+        b = row[i]
+        p = pos[j]
+        last = b[-1]
+        b[p] = last
+        pos[last] = p
+        b.pop()
+        b = row[i_new]
+        pos[j] = len(b)
+        b.append(j)
+        row = cnt[k]
+        row[i] -= 1
+        row[i_new] += 1
+        level_tot[i] -= 1
+        level_tot[i_new] += 1
+        qlen[j] = i_new
+        rate_sum += mu[k][i_new] - mu[k][i]
+        if i_new > i:
             fifo[j].append((t, i))
-            if kind == "jbt" and i + 1 == mpl[k]:
+            if is_jbt and i_new == mpl[k]:
                 avail -= 1
             if i == min_occ and level_tot[i] == 0:
                 while level_tot[min_occ] == 0:
                     min_occ += 1
         else:
-            x -= lam_total
-            picked = None
-            for k in range(kk):
-                row = cnt[k]
-                mrow = mu[k]
-                for i in range(1, buf[k] + 1):
-                    c = row[i]
-                    if c:
-                        w = c * mrow[i]
-                        if x < w:
-                            picked = (k, i)
-                            break
-                        x -= w
-                if picked:
-                    break
-            if picked is None:
-                continue  # float edge at the top of the rate scan
-            k, i = picked
-            j = pick_member(k, i)
-            move(j, k, i, i - 1)
-            rate_sum += mu[k][i - 1] - mu[k][i]
             completions += 1
             t0, seen = fifo[j].popleft()
             arr_t.append(t0)
             dep_t.append(t)
             dep_k.append(k)
             dep_seen.append(seen)
-            if kind == "jbt" and i == mpl[k]:
+            if is_jbt and i == mpl[k]:
                 avail += 1
-            if i - 1 < min_occ:
-                min_occ = i - 1
-    record_samples(horizon)
+            if i_new < min_occ:
+                min_occ = i_new
 
     times = np.arange(n_samples) * sample_interval
     parts = tuple(a / n for a in traj)
@@ -307,6 +293,8 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         n=n,
         horizon=horizon,
         sample_interval=sample_interval,
+        null_events=null_events,
+        wall_time=perf_counter() - wall0,
     )
 
 

@@ -237,9 +237,14 @@ def test_table_heterogeneous_per_type_rows(tmp_path):
     (["table"], {"types": [{"gamma": "x", "mu": HOM_MU}]}),
     (["table"], {"types": [{"gamma": 1.0, "mu": ["a"]}]}),
     (["transient", "--overlay-sim"], {"run": {"n_servers": 2.5, "horizon": 1.0, "dt": 0.01,
-                                              "sample_interval": 0.5}})],
+                                              "sample_interval": 0.5}}),
+    (["jsqd-sweep", "--d-list", "2.5"], {}),
+    (["jsqd-sweep", "--d-list", "0"], {}),
+    (["dist", "--points", "0"], {}),
+    (["dist", "--bins", "0"], {})],
     ids=["policies-jsqd:x", "policies-jsqd:2.5", "n-1e3", "table-d-2.5", "transient-d-2.5",
-         "d-true", "mpl-2.5", "gamma-x", "mu-a", "n_servers-2.5"])
+         "d-true", "mpl-2.5", "gamma-x", "mu-a", "n_servers-2.5",
+         "d-list-2.5", "d-list-0", "points-0", "bins-0"])
 def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
     """Malformed policies and config fields exit 1 with an error line, not
     a traceback, before anything is computed."""

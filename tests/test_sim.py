@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,13 @@ def test_counts_reconcile(het_spec):
     for t, part, n_k in zip(het_spec.types, res.trajectory.parts,
                             sim.place_servers(het_spec, 300)):
         assert np.allclose(part.sum(axis=1), n_k / 300)
+
+
+def test_run_reports_null_events_and_wall_time(het_spec):
+    res = sim.run(het_spec, Policy("jsqd", d=2), n=200, horizon=20, seed=4,
+                  sample_interval=1.0)
+    assert res.null_events == 0
+    assert res.wall_time > 0.0
 
 
 def test_fifo_departure_order_single_server():
@@ -136,3 +145,70 @@ def test_random_policy_matches_closed_form(hom_spec):
     se = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
     z = np.abs(mean - rep.nu.parts[0]) / np.maximum(se, 1e-9)
     assert z.max() < 4.0
+
+
+def _draw_digest(res):
+    """SHA-256 (first 16 hex digits) of one run's records and counters."""
+    h = hashlib.sha256()
+    for a in (res.arrival_time, res.departure_time, res.server_type,
+              res.length_seen, *res.trajectory.parts):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr((res.arrivals, res.losses, res.completions,
+                   res.in_flight)).encode())
+    return h.hexdigest()[:16]
+
+
+GOLDEN_POLICIES = {
+    "random": Policy("random"), "jiq": Policy("jiq"),
+    "jsqd2": Policy("jsqd", d=2), "jsqd5": Policy("jsqd", d=5),
+    "jsq": Policy("jsq"), "jbt": Policy("jbt"),
+    "jsq@0.5": Policy("jsq", control=0.5),
+    "jsqd2@0.7": Policy("jsqd", d=2, control=0.7),
+    "jsqd200": Policy("jsqd", d=200),  # d >= n: full shortest queue
+}
+
+GOLDEN_DIGESTS = {
+    ("hom_spec", 3): {
+        "random": "8b514ed9f7a642cb", "jiq": "564b3597ea28ed9e",
+        "jsqd2": "4ed6e92ef9f0bccb", "jsqd5": "452fd187c65fd0e8",
+        "jsq": "06339a1c50075660", "jbt": "46ea6ceadad08998",
+        "jsq@0.5": "8df9fa0119c5ae95", "jsqd2@0.7": "1db1299fb8728cfc",
+        "jsqd200": "06339a1c50075660",
+    },
+    ("hom_spec", 11): {
+        "random": "11a34f65ab30bfa4", "jiq": "d7237bf1db7ef0fe",
+        "jsqd2": "ec3d988d6ab180f4", "jsqd5": "5e45b3fdbce6f4b2",
+        "jsq": "81bb4c98039959de", "jbt": "44bf02e193d4bc73",
+        "jsq@0.5": "58f0afb5cd2dffc5", "jsqd2@0.7": "b88dce4e323c7d51",
+        "jsqd200": "81bb4c98039959de",
+    },
+    ("het_spec", 3): {
+        "random": "74bce89ed40e53f1", "jiq": "c8638a352ea0be3f",
+        "jsqd2": "c938d0f9bbd56547", "jsqd5": "4e6fc92548f08efe",
+        "jsq": "df68c1bbeca31184", "jbt": "3ad7371c7c3ee15c",
+        "jsq@0.5": "65b2c9561e90cdf3", "jsqd2@0.7": "decd4c477aaabd36",
+        "jsqd200": "df68c1bbeca31184",
+    },
+    ("het_spec", 11): {
+        "random": "f41441bf54771fb6", "jiq": "51986e4fc3c722ec",
+        "jsqd2": "7ac5d9f286a67945", "jsqd5": "ae40886b8c0aeebf",
+        "jsq": "e6722a48da56443f", "jbt": "a285edad3eb07574",
+        "jsq@0.5": "5b43f1b1f482d033", "jsqd2@0.7": "45d2ac9c40908250",
+        "jsqd200": "e6722a48da56443f",
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", ["hom_spec", "het_spec"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_run_is_bit_identical_to_recorded_draws(request, fixture, seed):
+    """Each run's realization is pinned: n = 200 up to horizon 50 crosses at
+    least one refill of both draw blocks, so block timing is pinned too."""
+    spec = request.getfixturevalue(fixture)
+    got = {}
+    for name, policy in GOLDEN_POLICIES.items():
+        res = sim.run(spec, policy, n=200, horizon=50, seed=seed,
+                      sample_interval=1.0)
+        assert res.arrivals + res.completions > sim._BLOCK
+        got[name] = _draw_digest(res)
+    assert got == GOLDEN_DIGESTS[fixture, seed]
