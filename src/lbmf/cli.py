@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import ode, sim, stationary, systemtime
+from . import ilt, ode, sim, stationary, systemtime
 from .model import (ConfigError, ConvergenceError, Occupancy, Policy,
                     ValidationError, parse_config, validate)
 
@@ -85,18 +86,23 @@ def parse_policy_name(text: str) -> Policy:
     return Policy(text)
 
 
+def _at_least(least, *options):
+    """Reject the first (option, value) pair whose value is below ``least``."""
+    for option, value in options:
+        if value < least:
+            raise ConfigError(f"{option} must be >= {least}, got {value}")
+
+
 def _load(args):
     spec, policy, run = parse_config(Path(args.config).read_text())
     if args.policy:
-        override = parse_policy_name(args.policy)
-        policy = Policy(override.kind, d=override.d, control=policy.control)
+        policy = replace(parse_policy_name(args.policy), control=policy.control)
         violations = validate(spec, policy)
         if violations:
             raise ValidationError(violations)
     if args.seed is not None:
-        run = type(run)(horizon=run.horizon, dt=run.dt,
-                        sample_interval=run.sample_interval,
-                        n_servers=run.n_servers, seed=args.seed)
+        _at_least(0, ("--seed", args.seed))
+        run = replace(run, seed=args.seed)
     return spec, policy, run
 
 
@@ -130,21 +136,25 @@ def _analytic_cell(spec, policy):
     return overall, per_type, report.loss_prob
 
 
+def _steady_window(res, horizon):
+    """Sojourn times and server types of the jobs that arrived in the
+    steady-state window [horizon / 2, horizon - margin]; the margin leaves
+    the jobs that arrived in the window time to depart before the run ends."""
+    margin = min(50.0, horizon / 4)
+    mask = (res.arrival_time >= horizon / 2) & (res.arrival_time <= horizon - margin)
+    return res.departure_time[mask] - res.arrival_time[mask], res.server_type[mask]
+
+
 def _sim_cell(spec, policy, n, run, replications):
-    margin = min(50.0, run.horizon / 4)
     results = sim.replicate(spec, policy, n=n, horizon=run.horizon,
                             seed=run.seed, r=replications,
                             sample_interval=run.sample_interval)
     overall, per_type = [], []
     for res in results:
-        t0, t1 = run.horizon / 2, run.horizon - margin
-        mask = (res.arrival_time >= t0) & (res.arrival_time <= t1)
-        soj = res.departure_time[mask] - res.arrival_time[mask]
+        soj, types = _steady_window(res, run.horizon)
         overall.append(float(soj.mean()))
-        per_type.append([
-            float(soj[res.server_type[mask] == k].mean()) if (res.server_type[mask] == k).any() else np.nan
-            for k in range(spec.k)
-        ])
+        per_type.append([float(soj[types == k].mean()) if (types == k).any() else np.nan
+                         for k in range(spec.k)])
     losses = sum(r.losses for r in results) / max(1, sum(r.arrivals for r in results))
     per_type = np.array(per_type)
     se = lambda v: float(np.std(v, ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
@@ -157,10 +167,13 @@ def cmd_table(args) -> int:
     spec, policy, run = _load(args)
     policies = ([parse_policy_name(p) for p in args.policies.split(",")]
                 if args.policies else [policy])
+    _at_least(1, ("--replications", args.replications))
     try:
         ns = [(None if x in ("inf", "mf") else int(x)) for x in args.n.split(",")]
+        if any(n is not None and n < 1 for n in ns):
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"--n takes sizes or 'inf', got {args.n!r}") from None
+        raise ConfigError(f"--n takes sizes >= 1 or 'inf', got {args.n!r}") from None
     out = _outdir(args)
     rows = []
     for pol in policies:
@@ -195,13 +208,13 @@ def cmd_table(args) -> int:
 
 def cmd_dist(args) -> int:
     spec, policy, run = _load(args)
-    for option, value in (("--points", args.points), ("--bins", args.bins)):
-        if value < 1:
-            raise ConfigError(f"{option} must be >= 1, got {value}")
+    _at_least(1, ("--points", args.points), ("--bins", args.bins))
+    if args.t_max is not None and not 0.0 < args.t_max < np.inf:
+        raise ConfigError(f"--t-max must be a positive finite number, got {args.t_max}")
     out = _outdir(args)
     report = stationary.solve(spec, policy)
     dist = systemtime.distribution(spec, policy, report)
-    t_max = args.t_max or 15.0 * dist.mean
+    t_max = 15.0 * dist.mean if args.t_max is None else args.t_max
     grid = np.linspace(t_max / args.points, t_max, args.points)
     dens = dist.density(grid, normalized=True)
     _write_csv(out / "density.csv", ["t", "density", "flagged"],
@@ -211,9 +224,7 @@ def cmd_dist(args) -> int:
     n = run.n_servers or 1000
     res = sim.run(spec, policy, n=n, horizon=run.horizon, seed=run.seed,
                   sample_interval=run.sample_interval)
-    margin = min(50.0, run.horizon / 4)
-    mask = (res.arrival_time >= run.horizon / 2) & (res.arrival_time <= run.horizon - margin)
-    soj = res.departure_time[mask] - res.arrival_time[mask]
+    soj, _ = _steady_window(res, run.horizon)
     edges = np.linspace(0.0, t_max, args.bins + 1)
     hist, _ = np.histogram(soj, bins=edges, density=True)
     scale = (soj <= t_max).mean()  # histogram density over the window only
@@ -226,7 +237,7 @@ def cmd_dist(args) -> int:
         "loss_prob": dist.loss_prob,
         "mass_check": dens.mass() * (1.0 - dist.loss_prob),
         "method": "talbot",
-        "nodes": 64,
+        "nodes": ilt.TALBOT_NODES,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     return EXIT_OK

@@ -34,9 +34,6 @@ class DispatchField:
     def parts(self) -> tuple:
         return unpad(self.array, self.buffers)
 
-    def total(self) -> float:
-        return float(self.array.sum())
-
 
 def _lose_full(f, buffers) -> DispatchField:
     """Field f with each type's entry at its buffer moved to the loss channel."""
@@ -76,31 +73,23 @@ def f_jsq(x: Occupancy) -> DispatchField:
     return _lose_full(f, x.buffers)
 
 
-def jsqd_bracket(q, d: int):
-    """Mass m[i] at each queue length over all types, and the chance
-    z[i]**d - z[i+1]**d that the best of d draws sits at length i, with z the
-    tail masses. ``q`` is a non-negative padded occupancy array."""
-    m = q.sum(axis=0)
-    z = np.zeros(len(m) + 1)
-    z[:-1] = m[::-1].cumsum()[::-1]
-    return m, z[:-1] ** d - z[1:] ** d
-
-
 def f_jsqd_limit(x: Occupancy, d: int) -> DispatchField:
     """Large-cluster limit of uniformly sampling d queues and joining the shortest.
 
-    The chance of landing at level i is the chance that the best of d
-    independent draws sits there, expressed through tail masses; within a
-    level the type is picked proportionally to its mass.
+    The chance of landing at level i is the chance z[i]**d - z[i+1]**d that
+    the best of d independent draws sits there, with z the tail masses over
+    all types; within a level the type is picked proportionally to its mass.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if d == 1:
         return f_random(x)
     q = np.maximum(x.array, 0.0)
-    m, bracket = jsqd_bracket(q, d)
-    return _lose_full(np.divide(q, m, out=np.zeros(q.shape), where=m > 0.0) * bracket,
-                      x.buffers)
+    m = q.sum(axis=0)
+    z = np.zeros(len(m) + 1)
+    z[:-1] = m[::-1].cumsum()[::-1]
+    return _lose_full(np.divide(q, m, out=np.zeros(q.shape), where=m > 0.0)
+                      * (z[:-1] ** d - z[1:] ** d), x.buffers)
 
 
 def f_jbt(x: Occupancy, thresholds) -> DispatchField:

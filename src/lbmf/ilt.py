@@ -23,20 +23,21 @@ import math
 
 import numpy as np
 
-# Time points per transform call: 512 Talbot nodes at the default 64. Blocks
-# of 16 raised the peak memory of a density followed by a simulation above
-# that of the one-point-at-a-time loop; blocks of 8 did not.
+# Contour nodes of talbot, and transform evaluations 2n + 1 per point of euler.
+TALBOT_NODES, EULER_TERMS = 64, 37
+# Time points per transform call: 512 Talbot nodes. Blocks of 16 raised the
+# peak memory of a density followed by a simulation above that of the
+# one-point-at-a-time loop; blocks of 8 did not.
 BLOCK = 8
 
 
-def talbot(transform, ts, nodes: int = 64, r: float | None = None) -> np.ndarray:
+def talbot(transform, ts) -> np.ndarray:
     """Invert ``transform`` on the time grid ``ts`` with the fixed Talbot rule."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if (ts <= 0).any():
         raise ValueError("talbot requires strictly positive times")
-    m = int(nodes)
-    if r is None:
-        r = min(2.0 * m / 5.0, 12.0)
+    m = TALBOT_NODES
+    r = min(2.0 * m / 5.0, 12.0)
     theta = np.arange(1, m) * math.pi / m
     cot = 1.0 / np.tan(theta)
     # Contour direction factors; the theta -> 0 limit of the bracket is 1.
@@ -49,9 +50,9 @@ def talbot(transform, ts, nodes: int = 64, r: float | None = None) -> np.ndarray
         p = p0 * shape
         f = transform(np.concatenate((p0 + 0j, p), axis=1))
         acc = 0.5 * math.exp(r) * f[:, 0]
-        terms = np.exp(t * p) * bracket * f[:, 1:]
-        for term in terms.T:
-            acc += term
+        summands = np.exp(t * p) * bracket * f[:, 1:]
+        for summand in summands.T:
+            acc += summand
         out[lo:lo + BLOCK] = (r / (m * t[:, 0])) * acc.real
     return out
 
@@ -66,17 +67,12 @@ def _euler_xi(n: int) -> np.ndarray:
     return xi
 
 
-def euler(transform, ts, terms: int = 37) -> np.ndarray:
-    """Invert ``transform`` on ``ts`` with the Euler-summation method.
-
-    ``terms`` is the number of transform evaluations per time point (2n+1).
-    """
+def euler(transform, ts) -> np.ndarray:
+    """Invert ``transform`` on ``ts`` with the Euler-summation method."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if (ts <= 0).any():
         raise ValueError("euler requires strictly positive times")
-    n = (int(terms) - 1) // 2
-    if n < 1:
-        raise ValueError("terms must be at least 3")
+    n = (EULER_TERMS - 1) // 2
     xi = _euler_xi(n)
     k = np.arange(2 * n + 1)
     eta = (-1.0) ** k * xi

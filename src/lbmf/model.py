@@ -166,19 +166,6 @@ class Occupancy:
     def parts(self) -> tuple:
         return unpad(self.array, self.buffers)
 
-    def check(self, spec: ClusterSpec, tol: float = 1e-9) -> list:
-        """Return invariant violations (empty list when valid)."""
-        out = []
-        for k, (t, p) in enumerate(zip(spec.types, self.parts)):
-            if len(p) != t.buffer + 1:
-                out.append(f"type {k}: occupancy length {len(p)} != buffer+1 {t.buffer + 1}")
-                continue
-            if abs(p.sum() - t.gamma) > tol:
-                out.append(f"type {k}: mass {p.sum()!r} != gamma {t.gamma!r}")
-            if (p < -tol).any() or (p > 1 + tol).any():
-                out.append(f"type {k}: entries outside [0, 1]")
-        return out
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -186,17 +173,6 @@ class Trajectory:
 
     times: np.ndarray
     parts: tuple  # per type: array of shape (len(times), B_k + 1)
-
-    def occupancy_at(self, idx: int) -> Occupancy:
-        return Occupancy([p[idx] for p in self.parts])
-
-    def sup_distance(self, other: "Trajectory") -> float:
-        """Largest entrywise gap between two trajectories on the same grid."""
-        if len(self.times) != len(other.times):
-            raise ValueError("trajectories sampled on different grids")
-        return max(
-            float(np.max(np.abs(a - b))) for a, b in zip(self.parts, other.parts)
-        )
 
 
 def validate(spec: ClusterSpec, policy: Policy) -> list:

@@ -114,7 +114,8 @@ def _report(spec, regime, arrivals, floor, **extra) -> StationaryReport:
                             tuple((admitted / spec.gammas()).tolist()), arrivals, floor, **extra)
 
 
-def _check_supported(spec, policy):
+def solve(spec: ClusterSpec, policy: Policy) -> StationaryReport:
+    """Route to the policy's solver."""
     violations = validate(spec, policy)
     if violations:
         raise ValidationError(violations)
@@ -123,11 +124,6 @@ def _check_supported(spec, policy):
             ["stationary solvers cover fully controlled policies only (p = 1); "
              "use the transient integrator for partial control"]
         )
-
-
-def solve(spec: ClusterSpec, policy: Policy) -> StationaryReport:
-    """Route to the policy's solver."""
-    _check_supported(spec, policy)
     if policy.kind == "random":
         return solve_random(spec)
     if policy.kind == "jiq":
@@ -208,18 +204,15 @@ def _solve_jiq_supercritical(spec) -> StationaryReport:
     return _report(spec, "jiq-supercritical", (spec.lam - z0) * above, 1, z0=z0, y0=0.0)
 
 
-def jsq_target_level(spec: ClusterSpec) -> int:
-    """Smallest queue length whose aggregate service capacity covers the load."""
-    for i in range(1, max(spec.buffers) + 1):
-        if _capacity(spec, i) >= spec.lam:
-            return i
-    raise ValidationError(["stability violated: no queue length covers the load"])
-
-
 def solve_jsq(spec: ClusterSpec) -> StationaryReport:
-    """Mass on the two lengths around the covering level i0, or all of it at
-    i0 when the load equals that level's capacity."""
-    i0 = jsq_target_level(spec)
+    """Mass on the two lengths around the covering level i0, the smallest
+    queue length whose aggregate service capacity covers the load, or all of
+    it at i0 when the load equals that level's capacity."""
+    for i0 in range(1, max(spec.buffers) + 1):
+        if _capacity(spec, i0) >= spec.lam:
+            break
+    else:
+        raise ValidationError(["stability violated: no queue length covers the load"])
     if any(i0 > b for b in spec.buffers):
         raise ValidationError(
             [f"jsq target level {i0} exceeds the buffer of some type; "

@@ -172,7 +172,7 @@ class DensityResult:
         return head + float(np.trapezoid(self.density, self.t))
 
 
-def invert(evaluator, t_grid, nodes: int = 64) -> DensityResult:
+def invert(evaluator, t_grid) -> DensityResult:
     """Invert a transform on a positive time grid with the Talbot rule.
 
     ``CHECK_POINTS`` grid points are re-inverted with the Euler method;
@@ -182,7 +182,7 @@ def invert(evaluator, t_grid, nodes: int = 64) -> DensityResult:
     t_grid = np.asarray(t_grid, dtype=float)
     if (np.diff(t_grid) <= 0).any() or (t_grid <= 0).any():
         raise ValueError("t_grid must be strictly positive and increasing")
-    density = ilt.talbot(evaluator, t_grid, nodes=nodes)
+    density = ilt.talbot(evaluator, t_grid)
     flagged = np.zeros(len(t_grid), dtype=bool)
     checked = []
     rng = np.random.default_rng(0)
@@ -204,8 +204,8 @@ class SojournDistribution:
     loss_prob: float
     laplace: object
 
-    def density(self, t_grid, nodes: int = 64, normalized: bool = True) -> DensityResult:
-        res = invert(self.laplace, t_grid, nodes=nodes)
+    def density(self, t_grid, normalized: bool = True) -> DensityResult:
+        res = invert(self.laplace, t_grid)
         if normalized:
             res.density = res.density / (1.0 - self.loss_prob)
         return res

@@ -3,6 +3,7 @@
 Everything here is deliberately written from first principles (enumeration,
 direct linear algebra, textbook formulas) rather than through the package's
 own code paths, so tests compare two independent routes to the same number.
+The last few functions are the small state checks that only tests need.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from lbmf import dispatch
+from lbmf.model import Occupancy
 
 # Regimes whose dispatch field is continuous at the stationary point.
 CONTINUOUS_REGIMES = ("random", "jsqd", "jbt", "jiq-subcritical", "jsq-subcritical")
@@ -313,3 +315,34 @@ def sojourn_weights(spec, policy, report):
     in the report's regime."""
     return [(k, j, w) for k, (_, _, levels) in enumerate(reference_queues(spec, policy, report))
             for j, w in levels.items()]
+
+
+def field_total(f):
+    """Probability that a dispatch field sends an arrival to some queue."""
+    return float(f.array.sum())
+
+
+def occupancy_violations(x, spec, tol=1e-9):
+    """Invariant violations of occupancy ``x`` (empty list when valid)."""
+    out = []
+    for k, (t, p) in enumerate(zip(spec.types, x.parts)):
+        if len(p) != t.buffer + 1:
+            out.append(f"type {k}: occupancy length {len(p)} != buffer+1 {t.buffer + 1}")
+            continue
+        if abs(p.sum() - t.gamma) > tol:
+            out.append(f"type {k}: mass {p.sum()!r} != gamma {t.gamma!r}")
+        if (p < -tol).any() or (p > 1 + tol).any():
+            out.append(f"type {k}: entries outside [0, 1]")
+    return out
+
+
+def occupancy_at(traj, idx):
+    """Occupancy of trajectory ``traj`` at sample ``idx``."""
+    return Occupancy([p[idx] for p in traj.parts])
+
+
+def sup_distance(a, b):
+    """Largest entrywise gap between two trajectories on the same grid."""
+    if len(a.times) != len(b.times):
+        raise ValueError("trajectories sampled on different grids")
+    return max(float(np.max(np.abs(p - q))) for p, q in zip(a.parts, b.parts))

@@ -14,7 +14,7 @@ from lbmf.model import (ClusterSpec, Occupancy, Policy, ServerType,
                         ServiceRateCurve)
 
 from conftest import HOM_MU
-from oracles import ctmc_stationary_occupancy, ks_distance
+from oracles import ctmc_stationary_occupancy, ks_distance, sup_distance
 
 POLICIES = {
     "random": Policy("random"),
@@ -227,8 +227,8 @@ def test_c09_fluctuation_scaling(hom_spec):
         sup = {}
         for n in (1000, 10000):
             devs = [
-                sim.run(hom_spec, policy, n=n, horizon=20, seed=(909, pid, k),
-                        sample_interval=0.25).trajectory.sup_distance(mf)
+                sup_distance(sim.run(hom_spec, policy, n=n, horizon=20, seed=(909, pid, k),
+                                     sample_interval=0.25).trajectory, mf)
                 for k in range(8)
             ]
             sup[n] = float(np.mean(devs))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from lbmf import cli
 from lbmf.model import ConvergenceError
 
 from conftest import HOM_MU
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def hom_config(tmp_path, **overrides):
@@ -198,8 +201,7 @@ def test_numeric_failure_exit_code(monkeypatch, tmp_path):
 def test_shipped_configs_parse():
     from lbmf.model import parse_config
     for name in ("homogeneous", "heterogeneous", "small_buffer"):
-        spec, policy, run = parse_config(
-            Path(__file__).resolve().parents[1].joinpath(f"configs/{name}.json").read_text())
+        spec, policy, run = parse_config((CONFIGS / f"{name}.json").read_text())
         assert spec.lam > 0 and run.horizon > 0
 
 
@@ -241,15 +243,62 @@ def test_table_heterogeneous_per_type_rows(tmp_path):
     (["jsqd-sweep", "--d-list", "2.5"], {}),
     (["jsqd-sweep", "--d-list", "0"], {}),
     (["dist", "--points", "0"], {}),
-    (["dist", "--bins", "0"], {})],
+    (["dist", "--bins", "0"], {}),
+    (["transient", "--overlay-sim", "--seed", "-1"], {}),
+    (["dist", "--seed", "-1"], {}),
+    (["table", "--n", "150", "--seed", "-1"], {}),
+    (["dist", "--t-max", "-1"], {}),
+    (["dist", "--t-max", "0"], {}),
+    (["table", "--n", "150", "--replications", "0"], {}),
+    (["table", "--n", "0,inf"], {})],
     ids=["policies-jsqd:x", "policies-jsqd:2.5", "n-1e3", "table-d-2.5", "transient-d-2.5",
          "d-true", "mpl-2.5", "gamma-x", "mu-a", "n_servers-2.5",
-         "d-list-2.5", "d-list-0", "points-0", "bins-0"])
+         "d-list-2.5", "d-list-0", "points-0", "bins-0",
+         "transient-seed--1", "dist-seed--1", "table-seed--1", "t-max--1", "t-max-0",
+         "replications-0", "n-0"])
 def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
-    """Malformed policies and config fields exit 1 with an error line, not
-    a traceback, before anything is computed."""
+    """Malformed policies, config fields and option values exit 1 with an
+    error line, not a traceback or ERROR cells, before anything is computed."""
     cfg = hom_config(tmp_path, **doc)
     out = tmp_path / "out"
     assert cli.main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+# SHA-256 (first 16 hex digits) of CLI outputs on the shipped configs. The
+# jsqd table cells are left out: their Newton solve goes through LAPACK,
+# whose last bits may differ between builds.
+GOLDEN_CLI_DIGESTS = {
+    "transient": {
+        "random": "cfea3583d3c19a6c", "jiq": "3adfeca718b1483b",
+        "jsqd:2": "0726a2da0f26efd0", "jsqd:5": "9c18d5dd220dc640",
+        "jsq": "36f85529fb469fa9", "jbt": "caea0153e0c47782",
+    },
+    "table": "43b424526358b692",
+}
+
+
+def _digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path):
+    """``transient`` on the heterogeneous cluster to horizon 3, per policy,
+    and ``table --n inf`` on the homogeneous one are pinned byte for byte."""
+    doc = json.loads((CONFIGS / "heterogeneous.json").read_text())
+    doc["run"]["horizon"] = 3.0
+    cfg = tmp_path / "het.json"
+    cfg.write_text(json.dumps(doc))
+    got = {"transient": {}}
+    for policy in GOLDEN_CLI_DIGESTS["transient"]:
+        out = tmp_path / policy.replace(":", "")
+        assert cli.main(["transient", "--config", str(cfg), "--out", str(out),
+                         "--policy", policy]) == 0
+        got["transient"][policy] = _digest(out / "mf_trajectory.csv")
+    out = tmp_path / "table"
+    assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
+                     "--out", str(out), "--n", "inf",
+                     "--policies", "random,jiq,jsq,jbt"]) == 0
+    got["table"] = _digest(out / "table.csv")
+    assert got == GOLDEN_CLI_DIGESTS

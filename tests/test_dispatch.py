@@ -7,7 +7,8 @@ from lbmf.dispatch import (f_jbt, f_jiq, f_jsq, f_jsqd_limit, f_partial,
 from lbmf.model import ClusterSpec, Occupancy, Policy, ServerType, ServiceRateCurve
 
 from conftest import ALL_POLICIES
-from oracles import brute_force_choice_of_two, per_type_field, sample_target
+from oracles import (brute_force_choice_of_two, field_total, per_type_field,
+                     sample_target)
 
 
 def occ(*parts):
@@ -34,7 +35,7 @@ def random_states(spec, rng, count):
 
 def test_random_empty_cluster():
     f = f_random(occ([1.0, 0, 0]))
-    assert f.parts[0][0] == 1.0 and f.total() == 1.0 and f.loss == 0.0
+    assert f.parts[0][0] == 1.0 and field_total(f) == 1.0 and f.loss == 0.0
 
 
 def test_random_uniform_state_has_loss_channel():
@@ -58,7 +59,7 @@ def test_jiq_idle_share():
     f = f_jiq(x)
     assert f.parts[0][0] == pytest.approx(0.4)
     assert f.parts[1][0] == pytest.approx(0.6)
-    assert f.total() == pytest.approx(1.0)
+    assert field_total(f) == pytest.approx(1.0)
 
 
 def test_jiq_no_idle_falls_back_to_random():
@@ -95,7 +96,7 @@ def test_jsq_empty_system_splits_by_gamma():
 
 def test_jsq_saturated_is_loss():
     f = f_jsq(occ([0, 0, 1.0]))
-    assert f.loss == pytest.approx(1.0) and f.total() == 0.0
+    assert f.loss == pytest.approx(1.0) and field_total(f) == 0.0
 
 
 # --- jsqd --------------------------------------------------------------------
@@ -200,8 +201,8 @@ def test_mass_conservation_every_policy(het_spec, b37_spec, policy):
             f = field(x, spec, policy)
             assert all((p >= 0).all() for p in f.parts)
             assert all(p[-1] == 0.0 for p in f.parts)
-            assert f.total() <= 1 + 1e-12
-            assert f.total() + f.loss == pytest.approx(1.0, abs=1e-9)
+            assert field_total(f) <= 1 + 1e-12
+            assert field_total(f) + f.loss == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES + [Policy("jsq", control=0.4),

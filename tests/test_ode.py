@@ -6,6 +6,7 @@ from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
                         ServerType, ServiceRateCurve)
 
 from conftest import ALL_POLICIES
+from oracles import occupancy_at, sup_distance
 
 
 def test_rhs_from_empty_state(hom_spec):
@@ -97,7 +98,7 @@ def test_mass_conserved_along_trajectory(het_spec):
 def test_jsqd_terminal_balance(hom_spec):
     traj = ode.integrate(Occupancy.empty(hom_spec), hom_spec, Policy("jsqd", d=2),
                          horizon=200, dt=0.01, sample_interval=10)
-    res = stationary.jsqd_balance_residual(hom_spec, 2, traj.occupancy_at(-1))
+    res = stationary.jsqd_balance_residual(hom_spec, 2, occupancy_at(traj, -1))
     assert res < 1e-6
 
 
@@ -110,7 +111,7 @@ def test_jsq_levels_fill_in_order(hom_spec):
             for i in range(len(traj.times))]
     assert all(a <= b for a, b in zip(mins, mins[1:]))
     assert mins[0] == 0 and mins[-1] == 3
-    end = traj.occupancy_at(-1).parts[0]
+    end = traj.parts[0][-1]
     assert end[3] + end[4] > 0.99
 
 
@@ -155,7 +156,7 @@ def test_partial_control_shifts_minimum_level(hom_spec):
     traj = ode.integrate(Occupancy.empty(hom_spec), hom_spec,
                          Policy("jsq", control=0.3), horizon=120, dt=0.005,
                          sample_interval=30)
-    end = traj.occupancy_at(-1).parts[0]
+    end = traj.parts[0][-1]
     assert end[0] < 1e-3 and end[1] < 0.02
     assert end[2] > 0.25  # bulk starts two levels up
 
@@ -165,4 +166,4 @@ def test_simulation_tracks_limit(hom_spec):
                        horizon=20, dt=0.002, sample_interval=0.25)
     res = sim.run(hom_spec, Policy("random"), n=10_000, horizon=20,
                   seed=42, sample_interval=0.25)
-    assert res.trajectory.sup_distance(mf) < 5 / np.sqrt(10_000)
+    assert sup_distance(res.trajectory, mf) < 5 / np.sqrt(10_000)

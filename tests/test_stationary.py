@@ -71,6 +71,15 @@ def test_jsq_reduces_to_two_level_when_one_level_suffices():
     assert np.allclose(rep.nu.parts[0], jiq.nu.parts[0], atol=1e-12)
 
 
+def test_jsq_direct_call_refuses_uncovered_load():
+    """Called without ``solve``'s validation, solve_jsq still refuses a
+    load that no queue length's capacity covers."""
+    spec = ClusterSpec(lam=2.0, types=(
+        ServerType(1.0, ServiceRateCurve.from_mu([1.0, 1.5])),))
+    with pytest.raises(ValidationError, match="no queue length covers the load"):
+        stationary.solve_jsq(spec)
+
+
 def test_jsq_heterogeneous_levels(het_spec):
     rep = stationary.solve_jsq(het_spec)
     assert rep.i0 == 5
