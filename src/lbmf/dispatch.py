@@ -1,11 +1,19 @@
 """Dispatch probabilities for each load-balancing policy.
 
 Each policy's field gives, for the deterministic limit, the probability
-that an arrival joins a queue of each type and length, as a padded
-type-by-length array laid out like the ``Occupancy`` it is computed from.
-Mass a policy would send to full queues is reported on a separate loss
-channel, so field entries at a type's buffer level are always zero. The
-finite-cluster simulator picks targets by the same rules on server counts.
+that an arrival joins a queue of each type and length, as padded
+type-by-length rows of Python floats laid out like the ``Occupancy.rows``
+it is computed from. Mass a policy would send to full queues is reported
+on a separate loss channel, so field entries at a type's buffer level are
+always zero. The finite-cluster simulator picks targets by the same rules
+on server counts.
+
+The ODE calls a field up to a dozen times per step on a few dozen entries,
+so the fields loop over floats rather than pay numpy's per-call overhead.
+Their rounding is fixed, so that recorded trajectories and CLI outputs
+keep their bits: sums over types run left to right from 0.0, as numpy adds
+fewer than eight entries, and the JSQ(d) tail powers are one numpy call,
+since numpy's ``power`` and Python's ``**`` round differently.
 """
 
 from __future__ import annotations
@@ -23,53 +31,70 @@ ZERO_MASS = 1e-12
 
 @dataclass
 class DispatchField:
-    """Probability ``array[k, i]`` that an arrival joins a type-k queue of
+    """Probability ``rows[k][i]`` that an arrival joins a type-k queue of
     length i, zero past each type's buffer, plus the loss probability."""
 
-    array: np.ndarray
+    rows: list
     loss: float
     buffers: np.ndarray
 
     @property
     def parts(self) -> tuple:
-        return unpad(self.array, self.buffers)
+        return unpad(np.array(self.rows), self.buffers)
+
+
+def _clip(rows):
+    """Rows with negative roundoff raised to zero, as ``np.maximum(x, 0.0)``."""
+    return [[v if v > 0.0 else 0.0 for v in row] for row in rows]
+
+
+def _level_mass(q):
+    """Mass at each queue length, summed over types in order."""
+    m = [0.0] * len(q[0])
+    for row in q:
+        m = [a + b for a, b in zip(m, row)]
+    return m
 
 
 def _lose_full(f, buffers) -> DispatchField:
-    """Field f with each type's entry at its buffer moved to the loss channel."""
-    full = np.arange(0, f.size, f.shape[1]) + buffers  # flat index of (k, B_k)
-    flat = f.reshape(-1)
-    loss = float(flat[full].sum())
-    flat[full] = 0.0
+    """Field rows f with each type's entry at its buffer moved to the loss channel."""
+    loss = 0.0
+    for row, b in zip(f, buffers):
+        loss += row[b]
+        row[b] = 0.0
     return DispatchField(f, loss, buffers)
 
 
 def f_random(x: Occupancy) -> DispatchField:
     """Uniform assignment: the field is the occupancy itself, full queues lose."""
-    return _lose_full(np.maximum(x.array, 0.0), x.buffers)
+    return _lose_full(_clip(x.rows), x.buffers)
 
 
 def f_jiq(x: Occupancy) -> DispatchField:
     """All arrivals to idle servers; falls back to random when none are idle."""
-    idle = np.maximum(x.array[:, 0], 0.0)
-    y0 = idle.sum()
+    idle = [row[0] if row[0] > 0.0 else 0.0 for row in x.rows]
+    y0 = 0.0
+    for v in idle:
+        y0 += v
     if y0 <= ZERO_MASS:
         return f_random(x)
-    f = np.zeros(x.array.shape)
-    f[:, 0] = idle / y0
-    return DispatchField(f, 0.0, x.buffers)
+    pad = [0.0] * (len(x.rows[0]) - 1)
+    return DispatchField([[v / y0] + pad for v in idle], 0.0, x.buffers)
 
 
 def f_jsq(x: Occupancy) -> DispatchField:
     """All arrivals to the minimal occupied queue length, split by type mass."""
-    q = np.maximum(x.array, 0.0)
-    m = q.sum(axis=0)
-    occupied = m > ZERO_MASS
-    istar = occupied.argmax()
-    f = np.zeros(q.shape)
-    if not occupied[istar]:
-        return DispatchField(f, float(q.sum()), x.buffers)
-    f[:, istar] = q[:, istar] / m[istar]
+    q = _clip(x.rows)
+    m = _level_mass(q)
+    f = [[0.0] * len(m) for _ in q]
+    for i, mass in enumerate(m):
+        if mass > ZERO_MASS:
+            break
+    else:
+        # numpy's pairwise sum over every entry, which the recorded outputs use
+        return DispatchField(f, float(np.sum(q)), x.buffers)
+    for row, qk in zip(f, q):
+        row[i] = qk[i] / mass
     return _lose_full(f, x.buffers)
 
 
@@ -84,24 +109,30 @@ def f_jsqd_limit(x: Occupancy, d: int) -> DispatchField:
         raise ValueError(f"d must be >= 1, got {d}")
     if d == 1:
         return f_random(x)
-    q = np.maximum(x.array, 0.0)
-    m = q.sum(axis=0)
-    z = np.zeros(len(m) + 1)
-    z[:-1] = m[::-1].cumsum()[::-1]
-    return _lose_full(np.divide(q, m, out=np.zeros(q.shape), where=m > 0.0)
-                      * (z[:-1] ** d - z[1:] ** d), x.buffers)
+    q = _clip(x.rows)
+    m = _level_mass(q)
+    z = [0.0] * (len(m) + 1)
+    for i in range(len(m) - 1, -1, -1):
+        z[i] = z[i + 1] + m[i]
+    zd = [v * v for v in z] if d == 2 else (np.array(z) ** d).tolist()
+    best = [a - b for a, b in zip(zd, zd[1:])]
+    return _lose_full([[(v / mass if mass > 0.0 else 0.0) * p
+                        for v, mass, p in zip(row, m, best)] for row in q], x.buffers)
 
 
 def f_jbt(x: Occupancy, thresholds) -> DispatchField:
     """Uniform over servers below their type threshold; random when none qualify."""
-    q = np.maximum(x.array, 0.0)
-    thresholds = np.asarray(thresholds)
-    # cumsum adds each type's levels left to right, as a per-type sum does
-    y = np.cumsum(q, axis=1)[np.arange(len(q)), thresholds - 1].sum()
+    q = _clip(x.rows)
+    y = 0.0
+    for row, t in zip(q, thresholds):
+        below = row[0]
+        for v in row[1:t]:
+            below += v
+        y += below
     if y <= ZERO_MASS:
         return f_random(x)
-    below = np.arange(q.shape[1]) < thresholds[:, None]
-    return DispatchField(np.where(below, q / y, 0.0), 0.0, x.buffers)
+    return DispatchField([[v / y if i < t else 0.0 for i, v in enumerate(row)]
+                          for row, t in zip(q, thresholds)], 0.0, x.buffers)
 
 
 def f_partial(inner: DispatchField, x: Occupancy, p: float) -> DispatchField:
@@ -111,8 +142,10 @@ def f_partial(inner: DispatchField, x: Occupancy, p: float) -> DispatchField:
     if p == 1.0:
         return inner
     rnd = f_random(x)
-    return DispatchField(p * inner.array + (1 - p) * rnd.array,
-                         p * inner.loss + (1 - p) * rnd.loss, x.buffers)
+    c = 1 - p
+    return DispatchField([[p * a + c * b for a, b in zip(ra, rb)]
+                          for ra, rb in zip(inner.rows, rnd.rows)],
+                         p * inner.loss + c * rnd.loss, x.buffers)
 
 
 def field(x: Occupancy, spec: ClusterSpec, policy: Policy) -> DispatchField:

@@ -83,6 +83,16 @@ def _inside(spec):
     return np.arange(max(spec.buffers) + 1) <= np.array(spec.buffers)[:, None]
 
 
+def _check_rates(spec):
+    """Refuse a type that does not serve at some length 1..B: the chains
+    divide by those rates. ``solve`` already refuses it through
+    ``validate``; this covers the solvers called on their own."""
+    bad = [f"type {k}: service rates must be positive from length 1"
+           for k, t in enumerate(spec.types) if not all(r > 0 for r in t.curve.rates[1:])]
+    if bad:
+        raise ValidationError(bad)
+
+
 def _chains(spec, arrivals, floor) -> np.ndarray:
     """Per-type chains above ``floor``, padded like ``arrivals``: nu_k[j] is
     proportional to the product of arrivals[k, l] / mu_k(l + 1) over
@@ -139,6 +149,7 @@ def solve(spec: ClusterSpec, policy: Policy) -> StationaryReport:
 
 def solve_random(spec: ClusterSpec) -> StationaryReport:
     """Closed form: each type is an independent birth-death chain."""
+    _check_rates(spec)
     return _report(spec, "random", spec.lam * _inside(spec), 0)
 
 
@@ -149,6 +160,7 @@ def _capacity(spec, i) -> float:
 
 def solve_jiq(spec: ClusterSpec) -> StationaryReport:
     """JIQ splits into three regimes against the idle-capacity rate."""
+    _check_rates(spec)
     crit = _capacity(spec, 1)
     if spec.lam < crit - CRITICAL_BAND:
         return replace(_two_level(spec, 1, "jiq-subcritical"), i0=None)
@@ -208,6 +220,7 @@ def solve_jsq(spec: ClusterSpec) -> StationaryReport:
     """Mass on the two lengths around the covering level i0, the smallest
     queue length whose aggregate service capacity covers the load, or all of
     it at i0 when the load equals that level's capacity."""
+    _check_rates(spec)
     for i0 in range(1, max(spec.buffers) + 1):
         if _capacity(spec, i0) >= spec.lam:
             break
@@ -226,7 +239,7 @@ def solve_jsq(spec: ClusterSpec) -> StationaryReport:
 def jsqd_balance_residual(spec: ClusterSpec, d: int, nu: Occupancy) -> float:
     """Sup-norm defect of the JSQ(d) balance equations plus type-mass constraints."""
     f = dispatch.f_jsqd_limit(nu, d)
-    flow = spec.rates[:, 1:] * nu.array[:, 1:] - spec.lam * f.array[:, :-1]
+    flow = spec.rates[:, 1:] * nu.array[:, 1:] - spec.lam * np.array(f.rows)[:, :-1]
     mass = nu.array.sum(axis=1) - spec.gammas()
     return float(max(np.abs(flow).max(), np.abs(mass).max()))
 
@@ -287,6 +300,7 @@ def solve_jsqd(spec: ClusterSpec, d: int) -> StationaryReport:
     stages of t from 0 to 1, each solving alpha = T_t(alpha) by Newton.
     The pooled rates already solve one type, or identical ones.
     """
+    _check_rates(spec)
     lam, inside = spec.lam, _inside(spec)[:, 1:]
     cap = np.array([_capacity(spec, i) for i in range(1, inside.shape[1] + 1)])
 
@@ -318,6 +332,7 @@ def solve_jbt(spec: ClusterSpec) -> StationaryReport:
     """Balance in the availability mass y, the mass below the thresholds:
     arrivals reach those servers at rate lam / y each, and each type's chain
     ends at its threshold."""
+    _check_rates(spec)
     lam = spec.lam
     for k, t in enumerate(spec.types):
         if t.mpl is None:

@@ -319,7 +319,7 @@ def sojourn_weights(spec, policy, report):
 
 def field_total(f):
     """Probability that a dispatch field sends an arrival to some queue."""
-    return float(f.array.sum())
+    return float(np.sum(f.rows))
 
 
 def occupancy_violations(x, spec, tol=1e-9):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,23 @@ def test_rhs_conserves_type_mass(het_spec, b37_spec):
                     assert abs(dk.sum()) < 1e-14
 
 
+def test_rhs_is_padded_array_and_field_exposes_parts(b37_spec):
+    """``rhs`` hands back the padded (K, B_max + 1) array with each row
+    summing to zero; a field on an Occupancy exposes per-type ``parts``
+    arrays and a float ``loss``."""
+    spec = b37_spec
+    rng = np.random.default_rng(19)
+    for policy in ALL_POLICIES:
+        x = random_state(spec, rng)
+        d = ode.rhs(x, spec, policy)
+        assert isinstance(d, np.ndarray) and d.shape == x.array.shape == (2, 8)
+        assert np.abs(d.sum(axis=1)).max() < 1e-14
+        f = dispatch.field(x, spec, policy)
+        assert [p.shape for p in f.parts] == [(4,), (8,)]
+        assert isinstance(f.loss, float)
+        assert sum(p.sum() for p in f.parts) + f.loss == pytest.approx(1.0, abs=1e-12)
+
+
 def test_unequal_buffers_rhs_and_padding(b37_spec, monkeypatch):
     """On buffers 3 and 7 the padded derivative equals the per-type formula
     exactly, and entries past a buffer stay exactly zero while integrating."""
@@ -67,7 +86,7 @@ def test_unequal_buffers_rhs_and_padding(b37_spec, monkeypatch):
 
     def spy(x, spec, policy):
         f = field(x, spec, policy)
-        seen.append(np.abs(x.array[past]).max() + np.abs(f.array[past]).max())
+        seen.append(np.abs(x.array[past]).max() + np.abs(np.array(f.rows)[past]).max())
         return f
 
     monkeypatch.setattr(dispatch, "field", spy)
@@ -167,3 +186,60 @@ def test_simulation_tracks_limit(hom_spec):
     res = sim.run(hom_spec, Policy("random"), n=10_000, horizon=20,
                   seed=42, sample_interval=0.25)
     assert sup_distance(res.trajectory, mf) < 5 / np.sqrt(10_000)
+
+
+# SHA-256 over the bytes of each part of ode.integrate from the empty state
+# at horizon 3, dt 0.002, recorded with the whole-array step that the float
+# step replaced. jsqd is left out: its tail powers go through numpy's SIMD
+# power, whose last bits may differ between CPUs.
+TRAJECTORY_DIGESTS = {
+    ("hom_spec", "random"):
+        "97dcd4a95779a258ca1c771d63ca0364af0a4e1ca6bf9e005820752b69cd460e",
+    ("hom_spec", "jiq"):
+        "db5e57c8c39742c261b09e5f7dc618a8b29fdd534f911d634b432c3ad1eab47e",
+    ("hom_spec", "jsq"):
+        "3b7b2efd2d8742a6edd4c6fa69af821d899898ad75d81c2cc784bd906dd0ea2e",
+    ("hom_spec", "jbt"):
+        "ae7ba171a61959227714a4df55a76dde69bf559efd8bb17838a16c120e2fa2cf",
+    ("hom_spec", "jsq@p=0.5"):
+        "200af35c762d78fa1955d126b2ee700cdde09fbb6f70713bc8634cf0dc12ef1e",
+    ("het_spec", "random"):
+        "25e0a721b4467d7ee89402979f61f570cc1a7800a5208723c2c32bc9ddb25e5e",
+    ("het_spec", "jiq"):
+        "dc85e5b9d1bc427c8d6f12952947888aeb03b8cb548c409184be241800bd3a91",
+    ("het_spec", "jsq"):
+        "7c01bf09250746c79927644b5e190e06467d04a974f502ea005bce35f5d6ee2d",
+    ("het_spec", "jbt"):
+        "d31610602ac063cb6a8320efde465e512d9003fd80d5a397a08f60c4942097e5",
+    ("het_spec", "jsq@p=0.5"):
+        "557fc7ba5adcafc6835ff6da827128c7d3ca2ade521c213509ca5b477587b3b7",
+    ("b37_spec", "random"):
+        "bb650f321785a2eff8b2d1afb1f28ef544ed25e3ae5b6ff610c8f7d2297de20b",
+    ("b37_spec", "jiq"):
+        "17f2c61c7ae025525e33fbd6764a6ae95a0f18b12f75da370e071e587b82dbf4",
+    ("b37_spec", "jsq"):
+        "fd4a8454aad13ed9b4183fa649b2d8f296b2479ece8bb62d1ce3d4af2aa725c9",
+    ("b37_spec", "jbt"):
+        "88eefd20f2797c9abe72025ff3571775e9f86aef9acbb1a5fcd4ca0faeecbe66",
+    ("b37_spec", "jsq@p=0.5"):
+        "a5f5eade8b62bc1ecde501fa8f6247a988a23cefb7fd4fd5e6942356a02826ca",
+    ("b266_spec", "random"):
+        "29392fda803fa18651937f84cbc429f7dc8814ad65905260085f4afd7549c822",
+    ("b266_spec", "jiq"):
+        "0884463bff9666d95f56f2b1925283397245d7b190440ab944cadc0176a5d12a",
+    ("b266_spec", "jsq"):
+        "c0d951ec2316ad05fa5bb4779c8f0f2fdbc9861728ad3610a074ff231418dfbd",
+    ("b266_spec", "jsq@p=0.5"):
+        "30bb72a7c82de98ff42118eb2467c97abfcfde6e5f1a83e1919bde64f1bfa17b",
+}
+DIGEST_POLICIES = {p.label(): p for p in (Policy("random"), Policy("jiq"), Policy("jsq"),
+                                           Policy("jbt"), Policy("jsq", control=0.5))}
+
+
+@pytest.mark.parametrize("fixture, label", list(TRAJECTORY_DIGESTS))
+def test_trajectory_matches_recorded_digest(fixture, label, request):
+    spec = request.getfixturevalue(fixture)
+    traj = ode.integrate(Occupancy.empty(spec), spec, DIGEST_POLICIES[label],
+                         horizon=3, dt=0.002)
+    digest = hashlib.sha256(b"".join(p.tobytes() for p in traj.parts)).hexdigest()
+    assert digest == TRAJECTORY_DIGESTS[fixture, label]
