@@ -139,9 +139,15 @@ def _analytic_cell(spec, policy):
 def _steady_window(res, horizon):
     """Sojourn times and server types of the jobs that arrived in the
     steady-state window [horizon / 2, horizon - margin]; the margin leaves
-    the jobs that arrived in the window time to depart before the run ends."""
-    margin = min(50.0, horizon / 4)
-    mask = (res.arrival_time >= horizon / 2) & (res.arrival_time <= horizon - margin)
+    the jobs that arrived in the window time to depart before the run ends.
+    An empty window raises: its mean and histogram would be NaN."""
+    lo, hi = horizon / 2, horizon - min(50.0, horizon / 4)
+    mask = (res.arrival_time >= lo) & (res.arrival_time <= hi)
+    if not mask.any():
+        # no comma in the message: table writes it into one CSV cell
+        raise ConfigError(f"no job both arrived in the steady window from t = {lo:g} "
+                          f"to {hi:g} and departed by run.horizon {horizon:g}; "
+                          f"lengthen the horizon")
     return res.departure_time[mask] - res.arrival_time[mask], res.server_type[mask]
 
 

@@ -19,11 +19,19 @@ candidates. A completion takes one uniform for the member of its bucket.
 This order and the block size fix the realization, so identical seeds give
 bit-identical results. Replications derive child seeds by spawning the root
 seed sequence and may run in processes (capped by LBMF_THREADS).
+
+Each completion appends its record (arrival, departure, server type, length
+seen) to four plain lists. Every sample tick, and once after the loop, moves
+them into typed arrays of 8 bytes a field, which the result wraps without a
+copy. So a run holds its finished jobs as Python objects for one sample
+interval at most: a homogeneous run with N = 1000 to horizon 60 (about 71k
+completions) peaks at 4.0 MiB under tracemalloc for 2.2 MiB of records.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from math import inf
@@ -68,6 +76,13 @@ def _draws(method):
     """
     while True:
         yield from memoryview(method(_BLOCK))
+
+
+def _flush(stores, pending):
+    """Move each pending list's records onto the end of its typed store."""
+    for store, records in zip(stores, pending):
+        store.extend(records)
+        records.clear()
 
 
 def place_servers(spec: ClusterSpec, n: int):
@@ -132,7 +147,10 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     if is_jbt:
         avail = sum(counts[k] for k in types if mpl[k] >= 1)
 
-    arr_t, dep_t, dep_k, dep_seen = [], [], [], []
+    # list.append costs about a quarter of array.append, so the event loop
+    # appends to lists and the sample ticks move their records into stores
+    arr_t, dep_t, dep_k, dep_seen = pending = ([], [], [], [])
+    stores = (array("d"), array("d"), array("q"), array("q"))
     arrivals = losses = completions = null_events = 0
 
     n_samples = int(horizon / sample_interval + 1e-9) + 1
@@ -152,6 +170,7 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 sample_idx += 1
                 rate_sum = sum(cnt[k][i] * mu[k][i] for k in types for i in busy[k])
             next_due = sample_idx * sample_interval if sample_idx < n_samples else inf
+            _flush(stores, pending)
         if t_next >= horizon:
             break
         t = t_next
@@ -278,14 +297,16 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
             if i_new < min_occ:
                 min_occ = i_new
 
+    _flush(stores, pending)  # no tick follows the last sample before horizon
     times = np.arange(n_samples) * sample_interval
     parts = tuple(a / n for a in traj)
+    arr_s, dep_s, k_s, seen_s = stores
     return SimResult(
         trajectory=Trajectory(times=times, parts=parts),
-        arrival_time=np.array(arr_t),
-        departure_time=np.array(dep_t),
-        server_type=np.array(dep_k, dtype=np.int64),
-        length_seen=np.array(dep_seen, dtype=np.int64),
+        arrival_time=np.frombuffer(arr_s),
+        departure_time=np.frombuffer(dep_s),
+        server_type=np.frombuffer(k_s, dtype=np.int64),
+        length_seen=np.frombuffer(seen_s, dtype=np.int64),
         arrivals=arrivals,
         losses=losses,
         completions=completions,

@@ -118,6 +118,31 @@ def test_dist_outputs(tmp_path, b5_spec):
     assert len(hist) == 30
 
 
+def test_table_empty_steady_window_is_an_error_cell(tmp_path):
+    # at horizon 0.05 no job that arrives in [0.025, 0.0375] has departed
+    cfg = hom_config(tmp_path, run={"n_servers": 20, "horizon": 0.05, "dt": 0.01,
+                                    "seed": 1, "sample_interval": 0.5})
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out),
+                     "--n", "20", "--replications", "2"]) == 0
+    _, rows = read_csv(out / "table.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert row[3].startswith("ERROR: no job both arrived in the steady window")
+        assert "run.horizon 0.05" in row[3] and row[4:] == ["", ""]
+
+
+def test_dist_empty_steady_window_exits_with_error_line(tmp_path, capsys):
+    cfg = hom_config(tmp_path, run={"n_servers": 1000, "horizon": 0.05, "dt": 0.01,
+                                    "seed": 1, "sample_interval": 0.5})
+    out = tmp_path / "out"
+    assert cli.main(["dist", "--config", str(cfg), "--out", str(out),
+                     "--points", "20"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no job both arrived in the steady window")
+    assert not (out / "hist.csv").exists()
+
+
 def test_dist_exponential_sanity(tmp_path):
     # single-slot buffers: every admitted job gets a fresh server, so the
     # normalized density is the bare service exponential
