@@ -217,20 +217,21 @@ def cmd_dist(args) -> int:
     _at_least(1, ("--points", args.points), ("--bins", args.bins))
     if args.t_max is not None and not 0.0 < args.t_max < np.inf:
         raise ConfigError(f"--t-max must be a positive finite number, got {args.t_max}")
-    out = _outdir(args)
     report = stationary.solve(spec, policy)
     dist = systemtime.distribution(spec, policy, report)
     t_max = 15.0 * dist.mean if args.t_max is None else args.t_max
     grid = np.linspace(t_max / args.points, t_max, args.points)
     dens = dist.density(grid, normalized=True)
-    _write_csv(out / "density.csv", ["t", "density", "flagged"],
-               ((float(t), float(h), int(f)) for t, h, f in
-                zip(dens.t, dens.density, dens.flagged)))
-
     n = run.n_servers or 1000
     res = sim.run(spec, policy, n=n, horizon=run.horizon, seed=run.seed,
                   sample_interval=run.sample_interval)
     soj, _ = _steady_window(res, run.horizon)
+
+    # every step that can fail has run, so a failed run leaves no output behind
+    out = _outdir(args)
+    _write_csv(out / "density.csv", ["t", "density", "flagged"],
+               ((float(t), float(h), int(f)) for t, h, f in
+                zip(dens.t, dens.density, dens.flagged)))
     edges = np.linspace(0.0, t_max, args.bins + 1)
     hist, _ = np.histogram(soj, bins=edges, density=True)
     scale = (soj <= t_max).mean()  # histogram density over the window only

@@ -140,7 +140,7 @@ def test_dist_empty_steady_window_exits_with_error_line(tmp_path, capsys):
                      "--points", "20"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no job both arrived in the steady window")
-    assert not (out / "hist.csv").exists()
+    assert not out.exists()  # no partial output: not even density.csv
 
 
 def test_dist_exponential_sanity(tmp_path):

@@ -199,6 +199,25 @@ def test_jsqd_stalled_homotopy_names_its_stage(het_spec, monkeypatch):
     assert err.value.residual > 0
 
 
+def test_jsqd_failing_stage_stops_early(het_spec, monkeypatch):
+    """On the heterogeneous cluster at d = 2 the first stage, t = 1 straight
+    from the pooled rates, cannot converge. The short line search gives up
+    on it after a few evaluations instead of running all its iterations;
+    the whole solve evaluates the stage function 78 times."""
+    calls, newton = 0, stationary._newton
+
+    def counted(f, x, tol):
+        def g(alpha):
+            nonlocal calls
+            calls += 1
+            return f(alpha)
+        return newton(g, x, tol)
+
+    monkeypatch.setattr(stationary, "_newton", counted)
+    stationary.solve_jsqd(het_spec, 2)
+    assert calls <= 120
+
+
 @pytest.mark.parametrize("policy,kind", [(Policy("random"), "random"),
                                          (Policy("jsqd", d=2), "jsqd"),
                                          (Policy("jbt"), "jbt"),
@@ -283,9 +302,9 @@ def sweep_loads(rng, types):
             for policy in SWEEP_POLICIES[kind]]
 
 
-def sweep_cases():
+def sweep_cases(seed=2024):
     """(spec, policy) over twelve seeded random specs and their sweep loads."""
-    rng = np.random.default_rng(2024)
+    rng = np.random.default_rng(seed)
     for _ in range(12):
         types = random_spec(rng)
         for lam, policy in sweep_loads(rng, types):
@@ -334,6 +353,16 @@ def test_random_specs_balance_little_and_mass():
         assert abs(mass + rep.loss_prob - 1.0) < 1e-9, where
     assert regimes == {"jiq-subcritical", "jiq-critical", "jiq-supercritical",
                        "jsq-subcritical", "jsq-critical", "jsq", "jbt", "jsqd"}
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_random_specs_jsqd_sweep(seed):
+    """JSQ(d) over more of the stability region: the random-spec sweep at
+    other seeds, jsqd(2, 5, 20) only, converges everywhere to balance."""
+    for spec, policy in sweep_cases(seed):
+        if policy.kind == "jsqd":
+            rep = stationary.solve(spec, policy)
+            assert balance_residual(spec, policy, rep) <= 1e-12, (policy.label(), spec.lam, spec.types)
 
 
 def assert_rates_match_reference(spec, policy, rep):
