@@ -97,9 +97,7 @@ def _load(args):
     spec, policy, run = parse_config(Path(args.config).read_text())
     if args.policy:
         policy = replace(parse_policy_name(args.policy), control=policy.control)
-        violations = validate(spec, policy)
-        if violations:
-            raise ValidationError(violations)
+        ValidationError.check(validate(spec, policy))
     if args.seed is not None:
         _at_least(0, ("--seed", args.seed))
         run = replace(run, seed=args.seed)
@@ -221,7 +219,7 @@ def cmd_dist(args) -> int:
     dist = systemtime.distribution(spec, policy, report)
     t_max = 15.0 * dist.mean if args.t_max is None else args.t_max
     grid = np.linspace(t_max / args.points, t_max, args.points)
-    dens = dist.density(grid, normalized=True)
+    dens = dist.density(grid)
     n = run.n_servers or 1000
     res = sim.run(spec, policy, n=n, horizon=run.horizon, seed=run.seed,
                   sample_interval=run.sample_interval)
@@ -259,15 +257,10 @@ def cmd_jsqd_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"--d-list takes integers >= 1, got {args.d_list!r}") from None
     out = _outdir(args)
-    for d in ds:
-        traj = ode.integrate(Occupancy.empty(spec), spec, Policy("jsqd", d=d),
-                             horizon=run.horizon, dt=run.dt,
-                             sample_interval=run.sample_interval)
-        write_trajectory_csv(out / f"traj_jsqd_{d}.csv", traj)
-    ref = ode.integrate(Occupancy.empty(spec), spec, Policy("jsq"),
-                        horizon=run.horizon, dt=run.dt,
-                        sample_interval=run.sample_interval)
-    write_trajectory_csv(out / "traj_jsq.csv", ref)
+    for name, pol in [(f"jsqd_{d}", Policy("jsqd", d=d)) for d in ds] + [("jsq", Policy("jsq"))]:
+        traj = ode.integrate(Occupancy.empty(spec), spec, pol, horizon=run.horizon,
+                             dt=run.dt, sample_interval=run.sample_interval)
+        write_trajectory_csv(out / f"traj_{name}.csv", traj)
     return EXIT_OK
 
 

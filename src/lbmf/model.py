@@ -10,6 +10,7 @@ routed by a load-balancing policy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
@@ -32,6 +33,12 @@ class ValidationError(ValueError):
     def __init__(self, violations):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
+
+    @classmethod
+    def check(cls, violations):
+        """Raise on a nonempty list of violations."""
+        if violations:
+            raise cls(violations)
 
 
 class ConvergenceError(RuntimeError):
@@ -99,6 +106,10 @@ class ClusterSpec:
         """Service rates laid out like an occupancy: ``rates[k, i]`` for
         type k at length i, zero past each type's buffer."""
         return Occupancy([t.curve.rates for t in self.types]).array
+
+    def capacity(self, i) -> float:
+        """Service rate per server with every queue at length i, or at its buffer."""
+        return sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in self.types)
 
 
 @dataclass(frozen=True)
@@ -200,12 +211,42 @@ class Trajectory:
     parts: tuple  # per type: array of shape (len(times), B_k + 1)
 
 
+def _serving(k, t) -> list:
+    """Type k's violation of the serving rule: the chains divide by its
+    rates from length 1, so they must be positive, and not NaN."""
+    return [] if all(r > 0 for r in t.curve.rates[1:]) else [
+        f"type {k}: service rates must be positive from length 1"]
+
+
+def serving_violations(spec: ClusterSpec) -> list:
+    """The serving rule over every type of ``spec``."""
+    return [v for k, t in enumerate(spec.types) for v in _serving(k, t)]
+
+
+def policy_violations(spec: ClusterSpec, policy: Policy) -> list:
+    """A known kind, ``d`` >= 1 for jsqd and for no other kind, ``mpl`` on
+    every type of ``spec`` for jbt, and ``control`` in (0, 1]."""
+    out = []
+    if policy.kind not in POLICY_KINDS:
+        out.append(f"unknown policy kind {policy.kind!r}")
+    if policy.kind == "jsqd":
+        if policy.d is None or policy.d < 1:
+            out.append(f"jsqd requires d >= 1, got {policy.d}")
+    elif policy.d is not None:
+        out.append(f"policy {policy.kind} takes no d")
+    if policy.kind == "jbt":
+        out += [f"jbt requires mpl on every type; type {k} has none"
+                for k, t in enumerate(spec.types) if t.mpl is None]
+    if not (0 < policy.control <= 1):
+        out.append(f"control must be in (0, 1], got {policy.control}")
+    return out
+
+
 def validate(spec: ClusterSpec, policy: Policy) -> list:
     """Check every model invariant; return human-readable violations."""
-    out = []
     if not spec.types:
-        out.append("types: empty")
-        return out
+        return ["types: empty"]
+    out = []
     if not (spec.lam > 0):
         out.append(f"lambda must be > 0, got {spec.lam}")
     gsum = 0.0
@@ -223,8 +264,7 @@ def validate(spec: ClusterSpec, policy: Policy) -> list:
         for i in range(1, b):
             if rates[i] / i < rates[i + 1] / (i + 1) - 1e-15:
                 out.append(f"type {k}: per-job rate increases at i={i}")
-        if min(rates[1:]) <= 0:
-            out.append(f"type {k}: service rates must be positive from length 1")
+        out += _serving(k, t)
         if not (0 < t.gamma <= 1):
             out.append(f"type {k}: gamma must be in (0, 1], got {t.gamma}")
         if t.mpl is not None and not (1 <= t.mpl <= b):
@@ -232,28 +272,16 @@ def validate(spec: ClusterSpec, policy: Policy) -> list:
         gsum += t.gamma
     if abs(gsum - 1.0) > GAMMA_SUM_TOL:
         out.append(f"type fractions sum to {gsum!r}, expected 1")
-    cap = sum(t.gamma * t.curve.rates[t.buffer] for t in spec.types)
+    cap = spec.capacity(max(spec.buffers))
     if not (spec.lam < cap):
         out.append(f"stability: lambda {spec.lam} not strictly below capacity {cap}")
-    if policy.kind not in POLICY_KINDS:
-        out.append(f"unknown policy kind {policy.kind!r}")
-    if policy.kind == "jsqd":
-        if policy.d is None or policy.d < 1:
-            out.append(f"jsqd requires d >= 1, got {policy.d}")
-    elif policy.d is not None:
-        out.append(f"policy {policy.kind} takes no d")
-    if policy.kind == "jbt":
-        for k, t in enumerate(spec.types):
-            if t.mpl is None:
-                out.append(f"jbt requires mpl on every type; type {k} has none")
-    if not (0 < policy.control <= 1):
-        out.append(f"control must be in (0, 1], got {policy.control}")
-    return out
+    return out + policy_violations(spec, policy)
 
 
 def _number(x, where) -> float:
-    if not isinstance(x, Real) or isinstance(x, bool):
-        raise ConfigError(f"{where}: expected a number, got {x!r}")
+    """A finite number, not a bool; JSON's reader also parses NaN and Infinity."""
+    if not isinstance(x, Real) or isinstance(x, bool) or not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {x!r}")
     return float(x)
 
 
@@ -332,9 +360,7 @@ def parse_config(text):
         raise ConfigError("run: horizon, dt and sample_interval must be positive")
 
     spec = ClusterSpec(lam=lam, types=tuple(types))
-    violations = validate(spec, policy)
-    if violations:
-        raise ValidationError(violations)
+    ValidationError.check(validate(spec, policy))
     return spec, policy, run
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dispatch
 from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy, Trajectory,
-                    unpad)
+                    ValidationError, policy_violations, unpad)
 
 DUST = 1e-13
 
@@ -130,8 +130,10 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
               dt: float = 1e-3, sample_interval: float = 0.1) -> Trajectory:
     """Trajectory from v0, sampled every ``sample_interval``.
 
-    ``dt`` is snapped so an integer number of steps fits each sample.
+    ``dt`` is snapped so an integer number of steps fits each sample. A
+    policy that ``model.policy_violations`` refuses raises ValidationError.
     """
+    ValidationError.check(policy_violations(spec, policy))
     if dt <= 0:
         raise ValueError("dt must be positive")
     per_sample = max(1, round(sample_interval / dt))
@@ -161,6 +163,7 @@ def solve_to_stationarity(v0: Occupancy, spec: ClusterSpec, policy: Policy,
     settle pointwise and are expected to fail here; their stationary points
     come from the regime-specific balance solvers instead.
     """
+    ValidationError.check(policy_violations(spec, policy))
     steps = max(1, round(check_interval / dt))
     dt = check_interval / steps
     x = [list(row) for row in v0.rows]

@@ -18,7 +18,9 @@ arrival these are the control coin when control < 1, then the servers
 candidates. A completion takes one uniform for the member of its bucket.
 This order and the block size fix the realization, so identical seeds give
 bit-identical results. Replications derive child seeds by spawning the root
-seed sequence and may run in processes (capped by LBMF_THREADS).
+seed sequence and may run in processes (capped by LBMF_THREADS). A run
+refuses a policy that ``model.policy_violations`` refuses; the spec is
+not checked, so a run may start above capacity.
 
 Each completion appends its record (arrival, departure, server type, length
 seen) to four plain lists. Every sample tick, and once after the loop, moves
@@ -39,7 +41,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .model import POLICY_KINDS, ClusterSpec, Policy, Trajectory
+from .model import (ClusterSpec, Policy, Trajectory, ValidationError,
+                    policy_violations)
 
 _BLOCK = 1 << 14  # draws per numpy call
 
@@ -104,6 +107,7 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         seed=None, sample_interval: float = 1.0) -> SimResult:
     """Simulate ``n`` servers from empty up to ``horizon``."""
     wall0 = perf_counter()
+    ValidationError.check(policy_violations(spec, policy))
     rng = np.random.default_rng(seed)
     exp = _draws(rng.standard_exponential).__next__
     uni = _draws(rng.random).__next__
@@ -134,10 +138,6 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
 
     lam_total = spec.lam * n
     kind, d, control = policy.kind, policy.d, policy.control
-    if kind not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {kind!r}")
-    if kind == "jsqd" and d < 1:
-        raise ValueError(f"jsqd requires d >= 1, got {d}")
     if kind == "jsqd" and d >= n:
         kind = "jsq"
     is_jbt = kind == "jbt"

@@ -14,7 +14,9 @@ at the floor i0 (``_critical``). Supercritical JIQ balances its refill rate
 the mass y below the thresholds, which receive lam / y. JSQ(d) balances the
 arrival rate per server at each length, which all types share: bisection on
 the idle mass of one pooled type with the capacity curve, then Newton
-stages of a homotopy from the pooled rates to each type's own.
+stages of a homotopy from the pooled rates to each type's own. ``solve``
+refuses what ``model.validate`` refuses; a solver called on its own refuses
+a type that does not serve (``model.serving_violations``) and its own limits.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import dispatch
 from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
-                    ValidationError, validate)
+                    ValidationError, policy_violations, serving_violations,
+                    validate)
 
 CRITICAL_BAND = 1e-10
 # JSQ(d) homotopy stages: Newton converges at |T(alpha) - alpha| <= NEWTON_TOL
@@ -86,16 +89,6 @@ def _inside(spec):
     return np.arange(max(spec.buffers) + 1) <= np.array(spec.buffers)[:, None]
 
 
-def _check_rates(spec):
-    """Refuse a type that does not serve at some length 1..B: the chains
-    divide by those rates. ``solve`` already refuses it through
-    ``validate``; this covers the solvers called on their own."""
-    bad = [f"type {k}: service rates must be positive from length 1"
-           for k, t in enumerate(spec.types) if not all(r > 0 for r in t.curve.rates[1:])]
-    if bad:
-        raise ValidationError(bad)
-
-
 def _chains(spec, arrivals, floor) -> np.ndarray:
     """Per-type chains above ``floor``, padded like ``arrivals``: nu_k[j] is
     proportional to the product of arrivals[k, l] / mu_k(l + 1) over
@@ -129,14 +122,10 @@ def _report(spec, regime, arrivals, floor, **extra) -> StationaryReport:
 
 def solve(spec: ClusterSpec, policy: Policy) -> StationaryReport:
     """Route to the policy's solver."""
-    violations = validate(spec, policy)
-    if violations:
-        raise ValidationError(violations)
+    ValidationError.check(validate(spec, policy))
     if policy.control < 1.0:
-        raise ValidationError(
-            ["stationary solvers cover fully controlled policies only (p = 1); "
-             "use the transient integrator for partial control"]
-        )
+        raise ValidationError(["stationary solvers cover fully controlled policies only "
+                               "(p = 1); use the transient integrator for partial control"])
     if policy.kind == "random":
         return solve_random(spec)
     if policy.kind == "jiq":
@@ -145,26 +134,19 @@ def solve(spec: ClusterSpec, policy: Policy) -> StationaryReport:
         return solve_jsq(spec)
     if policy.kind == "jsqd":
         return solve_jsqd(spec, policy.d)
-    if policy.kind == "jbt":
-        return solve_jbt(spec)
-    raise ValueError(f"unknown policy kind {policy.kind!r}")
+    return solve_jbt(spec)  # validate admits no other kind
 
 
 def solve_random(spec: ClusterSpec) -> StationaryReport:
     """Closed form: each type is an independent birth-death chain."""
-    _check_rates(spec)
+    ValidationError.check(serving_violations(spec))
     return _report(spec, "random", spec.lam * _inside(spec), 0)
-
-
-def _capacity(spec, i) -> float:
-    """Service rate per server with every queue at length i, or at its buffer."""
-    return sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in spec.types)
 
 
 def solve_jiq(spec: ClusterSpec) -> StationaryReport:
     """JIQ splits into three regimes against the idle-capacity rate."""
-    _check_rates(spec)
-    crit = _capacity(spec, 1)
+    ValidationError.check(serving_violations(spec))
+    crit = spec.capacity(1)
     if spec.lam < crit - CRITICAL_BAND:
         return replace(_two_level(spec, 1, "jiq-subcritical"), i0=None)
     if spec.lam <= crit + CRITICAL_BAND:
@@ -189,7 +171,7 @@ def _two_level(spec, i0: int, regime) -> StationaryReport:
         return gammas * mu_hi / (w + mu_hi)
 
     # throughput >= cap(i0) - sum(gamma mu_hi (mu_hi - mu_lo)) / w bounds the root
-    w_max = float((gammas * mu_hi * (mu_hi - mu_lo)).sum()) / (_capacity(spec, i0) - lam)
+    w_max = float((gammas * mu_hi * (mu_hi - mu_lo)).sum()) / (spec.capacity(i0) - lam)
     w = _bisect(lambda w: float((lower(w) * (w + mu_lo)).sum()) - lam, 0.0, w_max)
     p = lower(w)
     arrivals = np.zeros(spec.rates.shape)
@@ -215,7 +197,7 @@ def _solve_jiq_supercritical(spec) -> StationaryReport:
         nu = _chains(spec, (spec.lam - z) * above, 1)
         return z - float((spec.rates[:, 1] * nu[:, 1]).sum())
 
-    z0 = _bisect(excess, 0.0, _capacity(spec, 1))
+    z0 = _bisect(excess, 0.0, spec.capacity(1))
     return _report(spec, "jiq-supercritical", (spec.lam - z0) * above, 1, z0=z0, y0=0.0)
 
 
@@ -223,9 +205,9 @@ def solve_jsq(spec: ClusterSpec) -> StationaryReport:
     """Mass on the two lengths around the covering level i0, the smallest
     queue length whose aggregate service capacity covers the load, or all of
     it at i0 when the load equals that level's capacity."""
-    _check_rates(spec)
+    ValidationError.check(serving_violations(spec))
     for i0 in range(1, max(spec.buffers) + 1):
-        if _capacity(spec, i0) >= spec.lam:
+        if spec.capacity(i0) >= spec.lam:
             break
     else:
         raise ValidationError(["stability violated: no queue length covers the load"])
@@ -234,7 +216,7 @@ def solve_jsq(spec: ClusterSpec) -> StationaryReport:
             [f"jsq target level {i0} exceeds the buffer of some type; "
              "unequal buffers this tight are not supported"]
         )
-    if spec.lam > _capacity(spec, i0) - CRITICAL_BAND:
+    if spec.lam > spec.capacity(i0) - CRITICAL_BAND:
         return _critical(spec, i0, "jsq-critical")
     return _two_level(spec, i0, "jsq-subcritical" if i0 == 1 else "jsq")
 
@@ -310,9 +292,9 @@ def solve_jsqd(spec: ClusterSpec, d: int) -> StationaryReport:
     heterogeneous cluster at d = 2, stops at the first step whose HALVINGS
     tries all fail to lower the residual; the stage is then halved.
     """
-    _check_rates(spec)
+    ValidationError.check(serving_violations(spec))
     lam, inside, gammas = spec.lam, _inside(spec)[:, 1:], spec.gammas()[:, None]
-    cap = np.array([_capacity(spec, i) for i in range(1, inside.shape[1] + 1)])
+    cap = np.array([spec.capacity(i) for i in range(1, inside.shape[1] + 1)])
 
     def weights(t):
         """alpha[i] times weights(t)[k, i] is type k's chain ratio u[i+1] / u[i]."""
@@ -347,17 +329,12 @@ def solve_jbt(spec: ClusterSpec) -> StationaryReport:
     """Balance in the availability mass y, the mass below the thresholds:
     arrivals reach those servers at rate lam / y each, and each type's chain
     ends at its threshold."""
-    _check_rates(spec)
+    ValidationError.check(serving_violations(spec) + policy_violations(spec, Policy("jbt")))
     lam = spec.lam
-    for k, t in enumerate(spec.types):
-        if t.mpl is None:
-            raise ValidationError([f"jbt requires mpl on every type; type {k} has none"])
     cap = sum(t.gamma * t.curve.rates[t.mpl] for t in spec.types)
     if not (lam < cap):
-        raise ValidationError(
-            [f"jbt threshold capacity {cap} does not exceed lambda {lam}; "
-             "outside the analyzed regime"]
-        )
+        raise ValidationError([f"jbt threshold capacity {cap} does not exceed lambda {lam}; "
+                               "outside the analyzed regime"])
 
     below = np.arange(max(spec.buffers) + 1) < np.array([t.mpl for t in spec.types])[:, None]
 

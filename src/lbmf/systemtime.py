@@ -204,10 +204,10 @@ class SojournDistribution:
     loss_prob: float
     laplace: object
 
-    def density(self, t_grid, normalized: bool = True) -> DensityResult:
+    def density(self, t_grid) -> DensityResult:
+        """Admitted jobs' system-time density: ``invert``'s over 1 - loss_prob."""
         res = invert(self.laplace, t_grid)
-        if normalized:
-            res.density = res.density / (1.0 - self.loss_prob)
+        res.density = res.density / (1.0 - self.loss_prob)
         return res
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lbmf import ode, sim
 from lbmf.model import (ClusterSpec, ConfigError, Occupancy, Policy,
                         ServerType, ServiceRateCurve, ValidationError,
                         parse_config, serialize_config, validate)
@@ -38,6 +39,14 @@ def test_zero_service_rate_flagged():
                for v in validate(spec, Policy("random")))
 
 
+def test_nan_service_rate_flagged():
+    # NaN compares false both ways, so a rate test must fail it explicitly
+    spec = ClusterSpec(lam=0.5, types=(
+        ServerType(1.0, ServiceRateCurve.from_mu([1.0, np.nan, 2.0])),))
+    assert "type 0: service rates must be positive from length 1" in validate(
+        spec, Policy("random"))
+
+
 def test_per_job_rate_must_not_increase():
     # total rate 1 then 3: per-job rate grows from 1 to 1.5
     spec = ClusterSpec(lam=0.5, types=(
@@ -53,6 +62,27 @@ def test_policy_validation():
     assert any("requires mpl" in v for v in validate(spec, Policy("jbt")))
     assert any("takes no d" in v for v in validate(spec, Policy("jsq", d=3)))
     assert any("control" in v for v in validate(spec, Policy("jsq", control=0.0)))
+
+
+@pytest.mark.parametrize("layer", ["sim", "ode", "stationarity"])
+@pytest.mark.parametrize("policy,match", [
+    (Policy("jsq", control=1.7), "control must be in"),
+    (Policy("jsq", control=0.0), "control must be in"),
+    (Policy("jsqd"), "jsqd requires d >= 1"),
+    (Policy("jbt"), "jbt requires mpl on every type"),
+    (Policy("lifo"), "unknown policy kind")],
+    ids=["control-1.7", "control-0", "jsqd-no-d", "jbt-no-mpl", "unknown-kind"])
+def test_layers_refuse_invalid_policy(layer, policy, match):
+    """The simulator and the ODE refuse a policy by ``validate``'s own
+    policy rules, before they start."""
+    spec = ClusterSpec(lam=0.5, types=(
+        ServerType(1.0, ServiceRateCurve.from_mu([1.0, 1.0])),))
+    v0 = Occupancy.empty(spec)
+    call = {"sim": lambda: sim.run(spec, policy, n=10, horizon=1.0, seed=0),
+            "ode": lambda: ode.integrate(v0, spec, policy, horizon=1.0),
+            "stationarity": lambda: ode.solve_to_stationarity(v0, spec, policy)}[layer]
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 def _hom_config(**overrides):
@@ -167,10 +197,13 @@ def test_model_types_hashable_and_frozen(hom_spec):
 
 @pytest.mark.parametrize("where,value", [
     ("d", 2.5), ("d", True), ("mpl", 2.5), ("gamma", "x"), ("mu", ["a"]),
-    ("n_servers", 2.5), ("n_servers", -3), ("seed", 1.5)])
+    ("n_servers", 2.5), ("n_servers", -3), ("seed", 1.5),
+    ("mu", [1.0, np.nan, 2.0]), ("mu", [1.0, np.inf]), ("gamma", np.nan),
+    ("gamma", np.inf), ("horizon", np.inf), ("horizon", np.nan)])
 def test_non_numeric_and_non_integer_fields_rejected(where, value):
     """d, mpl, n_servers and seed are integers (not booleans); every other
-    value is a JSON number."""
+    value is a finite JSON number, though the JSON reader parses NaN and
+    Infinity."""
     doc = _hom_config(policy={"kind": "jsqd", "d": 2})
     if where == "d":
         doc["policy"]["d"] = value

@@ -80,15 +80,19 @@ def test_jsq_direct_call_refuses_uncovered_load():
         stationary.solve_jsq(spec)
 
 
-@pytest.mark.parametrize("solver", [
-    stationary.solve_random, stationary.solve_jiq, stationary.solve_jsq,
-    stationary.solve_jbt, lambda spec: stationary.solve_jsqd(spec, 2)],
-    ids=["random", "jiq", "jsq", "jbt", "jsqd"])
-def test_direct_call_refuses_zero_service_rate(solver):
+SOLVERS = {"random": stationary.solve_random, "jiq": stationary.solve_jiq,
+           "jsq": stationary.solve_jsq, "jbt": stationary.solve_jbt,
+           "jsqd": lambda spec: stationary.solve_jsqd(spec, 2)}
+
+
+@pytest.mark.parametrize("solver,mu", [(s, [0.0, 0.0]) for s in SOLVERS.values()]
+                         + [(s, [np.nan, 2.0]) for s in SOLVERS.values()],
+                         ids=list(SOLVERS) + [f"{name}-nan" for name in SOLVERS])
+def test_direct_call_refuses_zero_service_rate(solver, mu):
     """Called without ``solve``'s validation, each solver names the type
-    that does not serve instead of dividing by its zero rate."""
+    that does not serve instead of dividing by its zero or NaN rate."""
     spec = ClusterSpec(lam=0.5, types=(
-        ServerType(0.5, ServiceRateCurve.from_mu([0.0, 0.0]), mpl=1),
+        ServerType(0.5, ServiceRateCurve.from_mu(mu), mpl=1),
         ServerType(0.5, ServiceRateCurve.from_mu([1.0, 2.0]), mpl=1)))
     with pytest.raises(ValidationError, match="^type 0: service rates must be positive"):
         solver(spec)

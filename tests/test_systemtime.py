@@ -272,7 +272,7 @@ def test_density_inversion_flags_clean(b5_spec):
     rep = stationary.solve_random(b5_spec)
     dist = systemtime.distribution(b5_spec, Policy("random"), rep)
     grid = np.linspace(0.02, 40, 800)
-    res = dist.density(grid, normalized=False)
+    res = systemtime.invert(dist.laplace, grid)
     assert not res.flagged.any()
     assert res.density.min() > -1e-6
     assert res.mass() == pytest.approx(1.0 - rep.loss_prob, abs=1e-3)
@@ -283,7 +283,7 @@ def test_density_matches_mpmath_oracle(b5_spec):
     rep = stationary.solve_jsq(b5_spec)
     dist = systemtime.distribution(b5_spec, Policy("jsq"), rep)
     ts = np.array([0.05, 0.3, 1.0, 2.5, 5.0, 10.0, 20.0, 30.0])
-    got = dist.density(ts, normalized=False).density
+    got = systemtime.invert(dist.laplace, ts).density
     with mpmath.workdps(40):
         want = np.array([float(mpmath.invertlaplace(closed_form_b5, t, method="talbot"))
                          for t in ts])
@@ -293,14 +293,14 @@ def test_density_matches_mpmath_oracle(b5_spec):
 def test_jsq_density_vanishes_at_zero(b5_spec):
     rep = stationary.solve_jsq(b5_spec)
     dist = systemtime.distribution(b5_spec, Policy("jsq"), rep)
-    res = dist.density(np.array([1e-3, 0.01]), normalized=True)
+    res = dist.density(np.array([1e-3, 0.01]))
     assert abs(res.density[0]) < 1e-4
 
 
 def test_random_density_positive_at_zero(b5_spec):
     rep = stationary.solve_random(b5_spec)
     dist = systemtime.distribution(b5_spec, Policy("random"), rep)
-    res = dist.density(np.array([1e-3, 0.01]), normalized=True)
+    res = dist.density(np.array([1e-3, 0.01]))
     assert res.density[0] > 0.05
 
 
