@@ -83,19 +83,31 @@ def f_jiq(x: Occupancy) -> DispatchField:
 
 
 def f_jsq(x: Occupancy) -> DispatchField:
-    """All arrivals to the minimal occupied queue length, split by type mass."""
-    q = _clip(x.rows)
-    m = _level_mass(q)
-    f = [[0.0] * len(m) for _ in q]
-    for i, mass in enumerate(m):
+    """All arrivals to the minimal occupied queue length, split by type mass.
+
+    One pass from length 0 up: each level's clipped masses are summed over
+    types until a level holds more than ``ZERO_MASS``, and only that column
+    is filled; a type whose buffer is that level sends its share to loss.
+    """
+    rows = x.rows
+    f = [[0.0] * len(rows[0]) for _ in rows]
+    for i in range(len(rows[0])):
+        col = [row[i] if row[i] > 0.0 else 0.0 for row in rows]
+        mass = 0.0
+        for v in col:
+            mass += v
         if mass > ZERO_MASS:
             break
     else:
         # numpy's pairwise sum over every entry, which the recorded outputs use
-        return DispatchField(f, float(np.sum(q)), x.buffers)
-    for row, qk in zip(f, q):
-        row[i] = qk[i] / mass
-    return _lose_full(f, x.buffers)
+        return DispatchField(f, float(np.sum(_clip(rows))), x.buffers)
+    loss = 0.0
+    for row, v, b in zip(f, col, x.buffers):
+        if b == i:
+            loss += v / mass
+        else:
+            row[i] = v / mass
+    return DispatchField(f, loss, x.buffers)
 
 
 def f_jsqd_limit(x: Occupancy, d: int) -> DispatchField:

@@ -94,7 +94,7 @@ class ClusterSpec:
     def k(self) -> int:
         return len(self.types)
 
-    @property
+    @cached_property
     def buffers(self) -> tuple:
         return tuple(t.buffer for t in self.types)
 
@@ -279,8 +279,13 @@ def validate(spec: ClusterSpec, policy: Policy) -> list:
 
 
 def _number(x, where) -> float:
-    """A finite number, not a bool; JSON's reader also parses NaN and Infinity."""
-    if not isinstance(x, Real) or isinstance(x, bool) or not math.isfinite(x):
+    """A finite number, not a bool; JSON's reader also parses NaN, Infinity
+    and integer literals past the float range."""
+    try:
+        finite = isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ConfigError(f"{where}: expected a finite number, got {x!r}")
     return float(x)
 

@@ -4,8 +4,10 @@ One exponential race drives everything: the next event fires at the total
 rate (arrival rate plus the summed service rates of all queues), then is
 attributed to an arrival or to a service completion of one (type, length)
 bucket. Servers of equal type and length are exchangeable for the dynamics,
-so the state is kept as counts per bucket plus member lists for O(1)
-uniform picks; per-server FIFO arrival stamps provide exact sojourn times.
+so the state is one member list per bucket, for O(1) uniform picks; a
+bucket's count is the length of its list, and no other count is kept but
+the total per length. Per-server FIFO arrival stamps provide exact sojourn
+times.
 
 Randomness comes from one numpy PCG64 generator per run, read as two
 streams, exponentials and uniforms. Each stream is drawn in blocks of 2^14,
@@ -23,11 +25,14 @@ refuses a policy that ``model.policy_violations`` refuses; the spec is
 not checked, so a run may start above capacity.
 
 Each completion appends its record (arrival, departure, server type, length
-seen) to four plain lists. Every sample tick, and once after the loop, moves
-them into typed arrays of 8 bytes a field, which the result wraps without a
-copy. So a run holds its finished jobs as Python objects for one sample
-interval at most: a homogeneous run with N = 1000 to horizon 60 (about 71k
-completions) peaks at 4.0 MiB under tracemalloc for 2.2 MiB of records.
+seen) to four plain lists. Every sample tick, and the event past the
+horizon that ends the run, moves them into typed arrays of 8 bytes a field,
+which the result wraps without a copy. So a run holds its finished jobs as
+Python objects for one sample interval at most: a homogeneous run with
+N = 1000 to horizon 60 (about 71k completions) peaks at 4.0 MiB under
+tracemalloc for 2.2 MiB of records. The counters are derived once the loop
+ends: completions are the stored records, and arrivals are losses plus
+completions plus the jobs still queued.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import os
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import inf
 from time import perf_counter
 
@@ -71,16 +77,6 @@ class SimResult:
         return self.arrivals - self.losses
 
 
-def _draws(method):
-    """Python floats from ``method(_BLOCK)`` blocks, each drawn on first use.
-
-    A memoryview makes one float per draw as it is read, so no block is
-    ever held as a list of Python floats.
-    """
-    while True:
-        yield from memoryview(method(_BLOCK))
-
-
 def _flush(stores, pending):
     """Move each pending list's records onto the end of its typed store."""
     for store, records in zip(stores, pending):
@@ -109,14 +105,19 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     wall0 = perf_counter()
     ValidationError.check(policy_violations(spec, policy))
     rng = np.random.default_rng(seed)
-    exp = _draws(rng.standard_exponential).__next__
-    uni = _draws(rng.random).__next__
+    # floats from blocks each drawn on first use; a memoryview makes one float
+    # per draw as it is read, so no block is held as a list of Python floats
+    exp, uni = (chain.from_iterable(map(memoryview, map(method, repeat(_BLOCK)))).__next__
+                for method in (rng.standard_exponential, rng.random))
 
     types = range(spec.k)
     mu = [list(t.curve.rates) for t in spec.types]
-    buf = [t.buffer for t in spec.types]
+    buf = list(spec.buffers)
     mpl = [t.mpl for t in spec.types]
     counts = place_servers(spec, n)
+    # the change in a type's service rate from length i to i + 1, and to i - 1
+    up = [[b - a for a, b in zip(m, m[1:])] for m in mu]
+    down = [[0.0] + [a - b for a, b in zip(m, m[1:])] for m in mu]
 
     stype = []
     for k, c in enumerate(counts):
@@ -128,13 +129,13 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         b = bucket[stype[j]][0]
         pos[j] = len(b)
         b.append(j)
-    cnt = [[0] * (buf[k] + 1) for k in types]
-    for k in types:
-        cnt[k][0] = counts[k]
-    level_tot = [0] * (max(buf) + 1)
+    # the same member lists, in scan order: every type's at each length, the
+    # serving ones with their rates, and those below the jbt thresholds
+    level = [[bucket[k][i] for k in types if i <= buf[k]] for i in range(max(buf) + 1)]
+    serving = [(mu[k][i], bucket[k][i]) for k in types for i in range(1, buf[k] + 1)]
+    level_tot = [0] * len(level)
     level_tot[0] = n
     fifo = [deque() for _ in range(n)]
-    busy = [range(1, buf[k] + 1) for k in types]  # lengths that serve
 
     lam_total = spec.lam * n
     kind, d, control = policy.kind, policy.d, policy.control
@@ -145,13 +146,14 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     min_occ = 0
     avail = n  # servers strictly below their type threshold (jbt)
     if is_jbt:
-        avail = sum(counts[k] for k in types if mpl[k] >= 1)
+        below = [b for k in types for b in bucket[k][:mpl[k]]]
+        avail = sum(map(len, below))
 
     # list.append costs about a quarter of array.append, so the event loop
     # appends to lists and the sample ticks move their records into stores
     arr_t, dep_t, dep_k, dep_seen = pending = ([], [], [], [])
     stores = (array("d"), array("d"), array("q"), array("q"))
-    arrivals = losses = completions = null_events = 0
+    losses = null_events = 0
 
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     traj = [np.empty((n_samples, buf[k] + 1)) for k in types]
@@ -163,20 +165,21 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         rate = lam_total + rate_sum
         t_next = t + exp() / rate if rate > 0.0 else horizon
         if t_next + 1e-12 >= next_due:
-            upto = t_next if t_next < horizon else horizon
+            # the last event samples every row left: n_samples allows the
+            # last tick to fall up to 1e-9 intervals past the horizon
+            upto = t_next if t_next < horizon else inf
             while sample_idx < n_samples and sample_idx * sample_interval <= upto + 1e-12:
                 for k in types:
-                    traj[k][sample_idx] = cnt[k]
+                    traj[k][sample_idx] = [len(b) for b in bucket[k]]
                 sample_idx += 1
-                rate_sum = sum(cnt[k][i] * mu[k][i] for k in types for i in busy[k])
-            next_due = sample_idx * sample_interval if sample_idx < n_samples else inf
+                rate_sum = sum(len(b) * m for m, b in serving)
+            next_due = min(sample_idx * sample_interval, horizon)
             _flush(stores, pending)
-        if t_next >= horizon:
-            break
+            if t_next >= horizon:
+                break
         t = t_next
         x = uni() * rate
         if x < lam_total:
-            arrivals += 1
             pick = kind
             if control < 1.0 and uni() >= control:
                 pick = "random"
@@ -186,49 +189,51 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 r = int(uni() * total)
                 if r >= total:
                     r = total - 1
-                for k in types:
-                    if min_occ <= buf[k]:
-                        c = cnt[k][min_occ]
-                        if r < c:
-                            break
-                        r -= c
-                j = bucket[k][min_occ][r]
+                for b in level[min_occ]:
+                    c = len(b)
+                    if r < c:
+                        break
+                    r -= c
+                j = b[r]
             elif pick == "jsqd":
                 # d distinct uniform servers; ties on the shortest break uniformly
-                picked = []
-                best = len(level_tot)
-                while len(picked) < d:
+                c = int(uni() * n)
+                if c >= n:
+                    c = n - 1
+                picked = [c]
+                ties = [c]
+                best = qlen[c]
+                got = 1
+                while got < d:
                     c = int(uni() * n)
                     if c >= n:
                         c = n - 1
                     if c not in picked:
                         picked.append(c)
+                        got += 1
                         q = qlen[c]
                         if q < best:
                             best = q
                             ties = [c]
                         elif q == best:
                             ties.append(c)
-                if len(ties) == 1:
+                nt = len(ties)
+                if nt == 1:
                     j = ties[0]
                 else:
-                    r = int(uni() * len(ties))
-                    j = ties[r if r < len(ties) else -1]
+                    r = int(uni() * nt)
+                    j = ties[r if r < nt else -1]
             elif pick == "jbt" and avail:
                 # uniform over the servers below their type threshold
                 r = int(uni() * avail)
                 if r >= avail:
                     r = avail - 1
-                for k in types:
-                    row = cnt[k]
-                    for i in range(mpl[k]):
-                        if r < row[i]:
-                            break
-                        r -= row[i]
-                    else:
-                        continue
-                    break
-                j = bucket[k][i][r]
+                for b in below:
+                    c = len(b)
+                    if r < c:
+                        break
+                    r -= c
+                j = b[r]
             else:
                 j = int(uni() * n)
                 if j >= n:
@@ -241,24 +246,20 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
             i_new = i + 1
         else:
             x -= lam_total
-            for k in types:
-                row = cnt[k]
-                mrow = mu[k]
-                for i in busy[k]:
-                    c = row[i]
-                    if c:
-                        w = c * mrow[i]
-                        if x < w:
-                            break
-                        x -= w
-                else:
-                    continue
-                break
+            for m, b in serving:
+                c = len(b)
+                if c:
+                    w = c * m
+                    if x < w:
+                        break
+                    x -= w
             else:
                 null_events += 1  # float edge at the top of the rate scan
                 continue
             r = int(uni() * c)
-            j = bucket[k][i][r if r < c else c - 1]
+            j = b[r if r < c else c - 1]
+            k = stype[j]
+            i = qlen[j]
             i_new = i - 1
         # move server j of type k from length i to i_new
         row = bucket[k]
@@ -271,14 +272,11 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         b = row[i_new]
         pos[j] = len(b)
         b.append(j)
-        row = cnt[k]
-        row[i] -= 1
-        row[i_new] += 1
         level_tot[i] -= 1
         level_tot[i_new] += 1
         qlen[j] = i_new
-        rate_sum += mu[k][i_new] - mu[k][i]
         if i_new > i:
+            rate_sum += up[k][i]
             fifo[j].append((t, i))
             if is_jbt and i_new == mpl[k]:
                 avail -= 1
@@ -286,7 +284,7 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 while level_tot[min_occ] == 0:
                     min_occ += 1
         else:
-            completions += 1
+            rate_sum += down[k][i]
             t0, seen = fifo[j].popleft()
             arr_t.append(t0)
             dep_t.append(t)
@@ -297,20 +295,20 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
             if i_new < min_occ:
                 min_occ = i_new
 
-    _flush(stores, pending)  # no tick follows the last sample before horizon
     times = np.arange(n_samples) * sample_interval
     parts = tuple(a / n for a in traj)
     arr_s, dep_s, k_s, seen_s = stores
+    in_flight = sum(qlen)
     return SimResult(
         trajectory=Trajectory(times=times, parts=parts),
         arrival_time=np.frombuffer(arr_s),
         departure_time=np.frombuffer(dep_s),
         server_type=np.frombuffer(k_s, dtype=np.int64),
         length_seen=np.frombuffer(seen_s, dtype=np.int64),
-        arrivals=arrivals,
+        arrivals=losses + len(arr_s) + in_flight,
         losses=losses,
-        completions=completions,
-        in_flight=sum(qlen),
+        completions=len(arr_s),
+        in_flight=in_flight,
         n=n,
         horizon=horizon,
         sample_interval=sample_interval,

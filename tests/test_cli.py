@@ -277,12 +277,13 @@ def test_table_heterogeneous_per_type_rows(tmp_path):
     (["table", "--n", "150", "--replications", "0"], {}),
     (["table", "--n", "0,inf"], {}),
     (["transient"], {"run": {"horizon": float("inf"), "dt": 0.01, "sample_interval": 1.0}}),
-    (["table", "--n", "10"], {"types": [{"gamma": 1.0, "mu": [1.0, float("nan"), 2.0]}]})],
+    (["table", "--n", "10"], {"types": [{"gamma": 1.0, "mu": [1.0, float("nan"), 2.0]}]}),
+    (["table"], {"lambda": 10 ** 400})],
     ids=["policies-jsqd:x", "policies-jsqd:2.5", "n-1e3", "table-d-2.5", "transient-d-2.5",
          "d-true", "mpl-2.5", "gamma-x", "mu-a", "n_servers-2.5",
          "d-list-2.5", "d-list-0", "points-0", "bins-0",
          "transient-seed--1", "dist-seed--1", "table-seed--1", "t-max--1", "t-max-0",
-         "replications-0", "n-0", "horizon-inf", "mu-nan"])
+         "replications-0", "n-0", "horizon-inf", "mu-nan", "lambda-1e400"])
 def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
     """Malformed policies, config fields and option values exit 1 with an
     error line, not a traceback or ERROR cells, before anything is computed."""

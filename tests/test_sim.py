@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -77,6 +78,15 @@ def test_records_after_last_sample_are_kept(hom_spec):
         assert len(records) == res.completions
     assert res.arrivals == res.losses + res.completions + res.in_flight
     assert res.departure_time.max() > res.trajectory.times[-1]
+
+
+def test_horizon_just_below_a_tick_fills_its_sample(hom_spec):
+    """A horizon within 1e-9 intervals below a tick still gets that tick, and
+    its row holds the state at the horizon, not uninitialized memory."""
+    res = sim.run(hom_spec, Policy("jsq"), n=50, horizon=2.9999999995, seed=1,
+                  sample_interval=1.0)
+    assert res.trajectory.times[-1] == 3.0
+    assert np.allclose(res.trajectory.parts[0].sum(axis=1), 1.0)
 
 
 @pytest.mark.slow
@@ -199,48 +209,76 @@ GOLDEN_POLICIES = {
     "jsqd200": Policy("jsqd", d=200),  # d >= n: full shortest queue
 }
 
+# (fixture, seed, horizon, lam): lam None keeps the fixture's arrival rate
 GOLDEN_DIGESTS = {
-    ("hom_spec", 3): {
+    ("hom_spec", 3, 50, None): {
         "random": "8b514ed9f7a642cb", "jiq": "564b3597ea28ed9e",
         "jsqd2": "4ed6e92ef9f0bccb", "jsqd5": "452fd187c65fd0e8",
         "jsq": "06339a1c50075660", "jbt": "46ea6ceadad08998",
         "jsq@0.5": "8df9fa0119c5ae95", "jsqd2@0.7": "1db1299fb8728cfc",
         "jsqd200": "06339a1c50075660",
     },
-    ("hom_spec", 11): {
+    ("hom_spec", 11, 50, None): {
         "random": "11a34f65ab30bfa4", "jiq": "d7237bf1db7ef0fe",
         "jsqd2": "ec3d988d6ab180f4", "jsqd5": "5e45b3fdbce6f4b2",
         "jsq": "81bb4c98039959de", "jbt": "44bf02e193d4bc73",
         "jsq@0.5": "58f0afb5cd2dffc5", "jsqd2@0.7": "b88dce4e323c7d51",
         "jsqd200": "81bb4c98039959de",
     },
-    ("het_spec", 3): {
+    ("het_spec", 3, 50, None): {
         "random": "74bce89ed40e53f1", "jiq": "c8638a352ea0be3f",
         "jsqd2": "c938d0f9bbd56547", "jsqd5": "4e6fc92548f08efe",
         "jsq": "df68c1bbeca31184", "jbt": "3ad7371c7c3ee15c",
         "jsq@0.5": "65b2c9561e90cdf3", "jsqd2@0.7": "decd4c477aaabd36",
         "jsqd200": "df68c1bbeca31184",
     },
-    ("het_spec", 11): {
+    ("het_spec", 11, 50, None): {
         "random": "f41441bf54771fb6", "jiq": "51986e4fc3c722ec",
         "jsqd2": "7ac5d9f286a67945", "jsqd5": "ae40886b8c0aeebf",
         "jsq": "e6722a48da56443f", "jbt": "a285edad3eb07574",
         "jsq@0.5": "5b43f1b1f482d033", "jsqd2@0.7": "45d2ac9c40908250",
         "jsqd200": "e6722a48da56443f",
     },
+    # unequal buffers, 3 and 7: the bucket rows differ in length
+    ("b37_spec", 3, 50, None): {
+        "random": "48d1f2cf6311d819", "jiq": "3fa147304dde925e",
+        "jsqd2": "8c909737bc6b7217", "jsqd5": "aae9917675af5e2e",
+        "jsq": "012b89eedaff6abc", "jbt": "3a2d50f8de9fc49b",
+        "jsq@0.5": "5fcb910c951fb84d", "jsqd2@0.7": "404dcd70350490ea",
+        "jsqd200": "012b89eedaff6abc",
+    },
+    # above the smaller buffer's capacity, so JSQ loses jobs; the horizon
+    # falls between sample ticks, so records after the last tick count
+    ("b37_spec", 5, 50.3, 1.7): {
+        "random": "409cbcbb1c31bfa0", "jiq": "a86d186c8bd01037",
+        "jsqd2": "a993ce8cc7dc4603", "jsqd5": "a7ed3f269452352b",
+        "jsq": "288975cedeb1d776", "jbt": "f5e98a8765e72a06",
+        "jsq@0.5": "33a844d35dc3468d", "jsqd2@0.7": "b0b4280235ed51f1",
+        "jsqd200": "288975cedeb1d776",
+    },
 }
 
 
-@pytest.mark.parametrize("fixture", ["hom_spec", "het_spec"])
-@pytest.mark.parametrize("seed", [3, 11])
-def test_run_is_bit_identical_to_recorded_draws(request, fixture, seed):
+def _golden_id(case):
+    """``seed-fixture``, then the horizon and rate where they are not 50 and
+    the fixture's own."""
+    fixture, seed, horizon, lam = case
+    extra = ([] if horizon == 50 else [f"h{horizon}"]) + ([] if lam is None else [f"lam{lam}"])
+    return "-".join([str(seed), fixture, *extra])
+
+
+@pytest.mark.parametrize("case", GOLDEN_DIGESTS, ids=_golden_id)
+def test_run_is_bit_identical_to_recorded_draws(request, case):
     """Each run's realization is pinned: n = 200 up to horizon 50 crosses at
     least one refill of both draw blocks, so block timing is pinned too."""
+    fixture, seed, horizon, lam = case
     spec = request.getfixturevalue(fixture)
+    if lam is not None:
+        spec = dataclasses.replace(spec, lam=lam)
     got = {}
     for name, policy in GOLDEN_POLICIES.items():
-        res = sim.run(spec, policy, n=200, horizon=50, seed=seed,
+        res = sim.run(spec, policy, n=200, horizon=horizon, seed=seed,
                       sample_interval=1.0)
         assert res.arrivals + res.completions > sim._BLOCK
         got[name] = _draw_digest(res)
-    assert got == GOLDEN_DIGESTS[fixture, seed]
+    assert got == GOLDEN_DIGESTS[case]
