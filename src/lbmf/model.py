@@ -223,6 +223,13 @@ def serving_violations(spec: ClusterSpec) -> list:
     return [v for k, t in enumerate(spec.types) for v in _serving(k, t)]
 
 
+def mpl_violations(spec: ClusterSpec, what: str) -> list:
+    """The rule that ``what`` (jbt, or lps system times) needs ``mpl`` on
+    every type of ``spec``."""
+    return [f"{what} requires mpl on every type; type {k} has none"
+            for k, t in enumerate(spec.types) if t.mpl is None]
+
+
 def policy_violations(spec: ClusterSpec, policy: Policy) -> list:
     """A known kind, ``d`` >= 1 for jsqd and for no other kind, ``mpl`` on
     every type of ``spec`` for jbt, and ``control`` in (0, 1]."""
@@ -235,8 +242,7 @@ def policy_violations(spec: ClusterSpec, policy: Policy) -> list:
     elif policy.d is not None:
         out.append(f"policy {policy.kind} takes no d")
     if policy.kind == "jbt":
-        out += [f"jbt requires mpl on every type; type {k} has none"
-                for k, t in enumerate(spec.types) if t.mpl is None]
+        out += mpl_violations(spec, "jbt")
     if not (0 < policy.control <= 1):
         out.append(f"control must be in (0, 1], got {policy.control}")
     return out

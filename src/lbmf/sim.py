@@ -1,37 +1,52 @@
-"""Event-driven simulation of a finite cluster.
+"""Event-driven simulation of a finite cluster, on a uniformized clock.
 
-One exponential race drives everything: the next event fires at the total
-rate (arrival rate plus the summed service rates of all queues), then is
-attributed to an arrival or to a service completion of one (type, length)
-bucket. Servers of equal type and length are exchangeable for the dynamics,
-so the state is one member list per bucket, for O(1) uniform picks; a
-bucket's count is the length of its list, and no other count is kept but
-the total per length. Per-server FIFO arrival stamps provide exact sojourn
-times.
+Each server owns a slot as wide as its type's top service rate top[k], so
+the clock ticks at the constant rate lam*N + sum_k n_k*top[k] for n_k servers
+of type k. A tick draws x uniformly over that total: below lam*N it is an
+arrival; otherwise x lands in one server's slot, and the server completes a
+job if x's offset in the slot is below its rate at its current length, and
+the tick is a null event if not. The slots lie in server order, type 0's
+servers first. This samples the same Markov chain as an
+exponential race over the current rates (uniformization with thinning:
+Jensen 1953; Lewis & Shedler 1979), and a completion needs no bookkeeping
+but the server's queue length. Per-server FIFO arrival stamps provide exact
+sojourn times.
+
+Policies that pick from a set keep it as a swap-remove pool, for O(1)
+uniform picks: jsq one pool per length across types, jiq the idle servers,
+jbt the servers below their type's threshold. random and jsqd read only the
+queue lengths. Sample rows count each type's queue lengths.
 
 Randomness comes from one numpy PCG64 generator per run, read as two
 streams, exponentials and uniforms. Each stream is drawn in blocks of 2^14,
 and a block is drawn only when the stream's previous block is used up, so
 the first exponential block comes before the first uniform block. Every
-event takes one exponential (the time to it) and one uniform (arrival, or
-which bucket completes). Then come the uniforms of the pick. For an
-arrival these are the control coin when control < 1, then the servers
-(d distinct ones for JSQ(d)), then the tie-break among equally short
-candidates. A completion takes one uniform for the member of its bucket.
-This order and the block size fix the realization, so identical seeds give
-bit-identical results. Replications derive child seeds by spawning the root
-seed sequence and may run in processes (capped by LBMF_THREADS). A run
-refuses a policy that ``model.policy_violations`` refuses; the spec is
-not checked, so a run may start above capacity.
+tick takes one exponential (the time to it) and one uniform (arrival, or
+the slot and the offset in it). A completion or null event takes no more.
+An arrival then takes the control coin when control < 1, then one uniform
+for the member of its pool (jsq; jiq and jbt while their pool is not
+empty), or the servers (one, or d distinct ones for JSQ(d)) and the
+tie-break among equally short candidates. This order and the block size fix
+the realization, so identical seeds give bit-identical results.
+Replications derive child seeds by spawning the root seed sequence and may
+run in processes (capped by LBMF_THREADS). A run refuses a policy that
+``model.policy_violations`` refuses and a type that does not serve
+(``model.serving_violations``), whose slot would have no width; the rest of
+the spec is not checked, so a run may start above capacity.
+
+The constant clock costs null ticks: 5-19% of all ticks on the two
+benchmark clusters, and more the lighter the load. At light load they cost
+more than the bookkeeping they save: on the homogeneous cluster at lam = 0.3
+(two thirds of the ticks null) a run takes about 1.5 times as long as an
+exponential race over the current rates, and the break-even lies between
+loads of about 0.3 and 0.5.
 
 Each completion appends its record (arrival, departure, server type, length
-seen) to four plain lists. Every sample tick, and the event past the
-horizon that ends the run, moves them into typed arrays of 8 bytes a field,
-which the result wraps without a copy. So a run holds its finished jobs as
-Python objects for one sample interval at most: a homogeneous run with
-N = 1000 to horizon 60 (about 71k completions) peaks at 4.0 MiB under
-tracemalloc for 2.2 MiB of records. The counters are derived once the loop
-ends: completions are the stored records, and arrivals are losses plus
+seen) to four plain lists. Every sample tick, and the tick past the horizon
+that ends the run, moves them into typed arrays of 8 bytes a field, which
+the result wraps without a copy. So a run holds its finished jobs as Python
+objects for one sample interval at most. The counters are derived once the
+loop ends: completions are the stored records, and arrivals are losses plus
 completions plus the jobs still queued.
 """
 
@@ -41,14 +56,14 @@ import os
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import inf
 from time import perf_counter
 
 import numpy as np
 
 from .model import (ClusterSpec, Policy, Trajectory, ValidationError,
-                    policy_violations)
+                    policy_violations, serving_violations)
 
 _BLOCK = 1 << 14  # draws per numpy call
 
@@ -69,7 +84,7 @@ class SimResult:
     n: int
     horizon: float
     sample_interval: float
-    null_events: int  # completions the rate scan could not place (float edge)
+    null_events: int  # clock ticks that fired nothing: a slot above its server's rate
     wall_time: float  # seconds spent in run
 
     @property
@@ -103,7 +118,7 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         seed=None, sample_interval: float = 1.0) -> SimResult:
     """Simulate ``n`` servers from empty up to ``horizon``."""
     wall0 = perf_counter()
-    ValidationError.check(policy_violations(spec, policy))
+    ValidationError.check(policy_violations(spec, policy) + serving_violations(spec))
     rng = np.random.default_rng(seed)
     # floats from blocks each drawn on first use; a memoryview makes one float
     # per draw as it is read, so no block is held as a list of Python floats
@@ -111,43 +126,37 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 for method in (rng.standard_exponential, rng.random))
 
     types = range(spec.k)
-    mu = [list(t.curve.rates) for t in spec.types]
     buf = list(spec.buffers)
-    mpl = [t.mpl for t in spec.types]
     counts = place_servers(spec, n)
-    # the change in a type's service rate from length i to i + 1, and to i - 1
-    up = [[b - a for a, b in zip(m, m[1:])] for m in mu]
-    down = [[0.0] + [a - b for a, b in zip(m, m[1:])] for m in mu]
-
-    stype = []
-    for k, c in enumerate(counts):
-        stype.extend([k] * c)
+    first = list(accumulate(counts, initial=0))  # type k: servers first[k] to first[k+1] - 1
+    stype = [k for k, c in enumerate(counts) for _ in range(c)]
+    top = [max(t.curve.rates) for t in spec.types]
+    # per type: its slots' total width (the last one unbounded, for float
+    # edges), 1 / slot width, first server, count and rates in slot units
+    slots = [(counts[k] * top[k] if k < spec.k - 1 else inf, 1.0 / top[k], first[k],
+              counts[k], [r / top[k] for r in spec.types[k].curve.rates]) for k in types]
+    lam_total = spec.lam * n
+    rate = lam_total + sum(c * w for c, w in zip(counts, top))
+    scale = 1.0 / rate if rate > 0.0 else inf
     qlen = [0] * n
-    bucket = [[[] for _ in range(buf[k] + 1)] for k in types]
-    pos = [0] * n
-    for j in range(n):
-        b = bucket[stype[j]][0]
-        pos[j] = len(b)
-        b.append(j)
-    # the same member lists, in scan order: every type's at each length, the
-    # serving ones with their rates, and those below the jbt thresholds
-    level = [[bucket[k][i] for k in types if i <= buf[k]] for i in range(max(buf) + 1)]
-    serving = [(mu[k][i], bucket[k][i]) for k in types for i in range(1, buf[k] + 1)]
-    level_tot = [0] * len(level)
-    level_tot[0] = n
     fifo = [deque() for _ in range(n)]
 
-    lam_total = spec.lam * n
     kind, d, control = policy.kind, policy.d, policy.control
     if kind == "jsqd" and d >= n:
         kind = "jsq"
-    is_jbt = kind == "jbt"
-    rate_sum = 0.0  # total service rate; refreshed at sample times
-    min_occ = 0
-    avail = n  # servers strictly below their type threshold (jbt)
-    if is_jbt:
-        below = [b for k in types for b in bucket[k][:mpl[k]]]
-        avail = sum(map(len, below))
+    # key[k][i]: the pool of a type-k server at length i, -1 for none
+    if kind == "jsq":
+        key = [list(range(b + 1)) for b in buf]
+    elif kind in ("jiq", "jbt"):
+        # one pool: the idle servers, or those below their type's threshold
+        below = [1 if kind == "jiq" else t.mpl for t in spec.types]
+        key = [[0] * m + [-1] * (b + 1 - m) for b, m in zip(buf, below)]
+        kind = "pool"
+    else:
+        key = None
+    pools = [list(range(n))] + [[] for _ in range(max(buf))]
+    pos = list(range(n))
+    low = 0  # no pool below it holds a server (jsq)
 
     # list.append costs about a quarter of array.append, so the event loop
     # appends to lists and the sample ticks move their records into stores
@@ -162,17 +171,17 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
 
     t = 0.0
     while True:
-        rate = lam_total + rate_sum
-        t_next = t + exp() / rate if rate > 0.0 else horizon
+        t_next = t + exp() * scale
         if t_next + 1e-12 >= next_due:
-            # the last event samples every row left: n_samples allows the
-            # last tick to fall up to 1e-9 intervals past the horizon
+            # the last tick samples every row left: n_samples allows the
+            # last sample to fall up to 1e-9 intervals past the horizon
             upto = t_next if t_next < horizon else inf
             while sample_idx < n_samples and sample_idx * sample_interval <= upto + 1e-12:
+                lengths = np.array(qlen)
                 for k in types:
-                    traj[k][sample_idx] = [len(b) for b in bucket[k]]
+                    traj[k][sample_idx] = np.bincount(lengths[first[k]:first[k + 1]],
+                                                      minlength=buf[k] + 1)
                 sample_idx += 1
-                rate_sum = sum(len(b) * m for m, b in serving)
             next_due = min(sample_idx * sample_interval, horizon)
             _flush(stores, pending)
             if t_next >= horizon:
@@ -183,18 +192,14 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
             pick = kind
             if control < 1.0 and uni() >= control:
                 pick = "random"
-            if pick == "jsq" or pick == "jiq" and level_tot[0]:
-                # uniform over the shortest queues, all types
-                total = level_tot[min_occ]
-                r = int(uni() * total)
-                if r >= total:
-                    r = total - 1
-                for b in level[min_occ]:
-                    c = len(b)
-                    if r < c:
-                        break
-                    r -= c
-                j = b[r]
+            if pick == "jsq" or pick == "pool" and pools[0]:
+                # uniform over the shortest queues, or over jiq's or jbt's pool
+                while not pools[low]:
+                    low += 1
+                pl = pools[low]
+                c = len(pl)
+                r = int(uni() * c)
+                j = pl[r if r < c else -1]
             elif pick == "jsqd":
                 # d distinct uniform servers; ties on the shortest break uniformly
                 c = int(uni() * n)
@@ -223,17 +228,6 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 else:
                     r = int(uni() * nt)
                     j = ties[r if r < nt else -1]
-            elif pick == "jbt" and avail:
-                # uniform over the servers below their type threshold
-                r = int(uni() * avail)
-                if r >= avail:
-                    r = avail - 1
-                for b in below:
-                    c = len(b)
-                    if r < c:
-                        break
-                    r -= c
-                j = b[r]
             else:
                 j = int(uni() * n)
                 if j >= n:
@@ -244,56 +238,49 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 losses += 1
                 continue
             i_new = i + 1
+            fifo[j].append((t, i))
         else:
             x -= lam_total
-            for m, b in serving:
-                c = len(b)
-                if c:
-                    w = c * m
-                    if x < w:
-                        break
-                    x -= w
-            else:
-                null_events += 1  # float edge at the top of the rate scan
-                continue
-            r = int(uni() * c)
-            j = b[r if r < c else c - 1]
-            k = stype[j]
+            for width, inv, j0, c, rel in slots:
+                if x < width:
+                    break
+                x -= width
+            u = x * inv
+            r = int(u)
+            if r >= c:
+                r = c - 1
+            j = j0 + r
             i = qlen[j]
+            # u - r is exact, so an idle server (rate 0) never completes
+            if u - r >= rel[i]:
+                null_events += 1
+                continue
             i_new = i - 1
-        # move server j of type k from length i to i_new
-        row = bucket[k]
-        b = row[i]
-        p = pos[j]
-        last = b[-1]
-        b[p] = last
-        pos[last] = p
-        b.pop()
-        b = row[i_new]
-        pos[j] = len(b)
-        b.append(j)
-        level_tot[i] -= 1
-        level_tot[i_new] += 1
-        qlen[j] = i_new
-        if i_new > i:
-            rate_sum += up[k][i]
-            fifo[j].append((t, i))
-            if is_jbt and i_new == mpl[k]:
-                avail -= 1
-            if i == min_occ and level_tot[i] == 0:
-                while level_tot[min_occ] == 0:
-                    min_occ += 1
-        else:
-            rate_sum += down[k][i]
+            k = stype[j]
             t0, seen = fifo[j].popleft()
             arr_t.append(t0)
             dep_t.append(t)
             dep_k.append(k)
             dep_seen.append(seen)
-            if is_jbt and i == mpl[k]:
-                avail += 1
-            if i_new < min_occ:
-                min_occ = i_new
+        qlen[j] = i_new
+        if key is not None:
+            a = key[k][i]
+            b = key[k][i_new]
+            if a != b:
+                # swap-remove server j from pool a, append it to pool b
+                if a >= 0:
+                    pl = pools[a]
+                    p = pos[j]
+                    last = pl[-1]
+                    pl[p] = last
+                    pos[last] = p
+                    pl.pop()
+                if b >= 0:
+                    pl = pools[b]
+                    pos[j] = len(pl)
+                    pl.append(j)
+                    if b < low:
+                        low = b
 
     times = np.arange(n_samples) * sample_interval
     parts = tuple(a / n for a in traj)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import ilt
-from .model import ClusterSpec, Policy
+from .model import ClusterSpec, Policy, ValidationError, mpl_violations
 from .stationary import StationaryReport
 
 # Talbot points re-inverted with Euler, and the relative gap that flags one.
@@ -231,9 +231,7 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
             f"lps system times are only defined for continuous regimes, not {report.regime!r}"
         )
     _check_regime(policy, report)
-    for k, t in enumerate(spec.types):
-        if t.mpl is None:
-            raise ValueError(f"lps requires mpl on every type; type {k} has none")
+    ValidationError.check(mpl_violations(spec, "lps"))
     return _pointwise([_LpsSystem(q, t.mpl).add for q, t in zip(_queues(spec, report), spec.types)])
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lbmf import sim, stationary
-from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve
+from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve, ValidationError
 
 from oracles import ctmc_stationary_occupancy
 
@@ -38,6 +38,17 @@ def test_no_arrivals_no_events(hom_spec):
     assert np.all(res.trajectory.parts[0][:, 0] == 1.0)
 
 
+@pytest.mark.parametrize("mu", [[0.0, 0.0], [np.nan, 2.0]], ids=["zero", "nan"])
+def test_run_refuses_a_type_that_does_not_serve(mu):
+    """A type's slot is as wide as its top rate, so a type without a
+    positive rate is refused by name, not divided by."""
+    spec = ClusterSpec(lam=0.5, types=(
+        ServerType(0.5, ServiceRateCurve.from_mu(mu)),
+        ServerType(0.5, ServiceRateCurve.from_mu([1.0, 2.0]))))
+    with pytest.raises(ValidationError, match="^type 0: service rates must be positive"):
+        sim.run(spec, Policy("random"), n=10, horizon=1.0, seed=0)
+
+
 def test_deterministic_replay(hom_spec):
     a = sim.run(hom_spec, Policy("jsqd", d=2), n=200, horizon=30, seed=123,
                 sample_interval=0.5)
@@ -61,9 +72,16 @@ def test_counts_reconcile(het_spec):
 
 
 def test_run_reports_null_events_and_wall_time(het_spec):
-    res = sim.run(het_spec, Policy("jsqd", d=2), n=200, horizon=20, seed=4,
+    """Arrivals, completions and null events are every tick of the clock,
+    whose count up to the horizon is Poisson with mean rate * horizon."""
+    n, horizon = 200, 20
+    res = sim.run(het_spec, Policy("jsqd", d=2), n=n, horizon=horizon, seed=4,
                   sample_interval=1.0)
-    assert res.null_events == 0
+    rate = het_spec.lam * n + sum(
+        c * max(t.curve.rates) for c, t in zip(sim.place_servers(het_spec, n), het_spec.types))
+    ticks = res.arrivals + res.completions + res.null_events
+    assert res.null_events > 0
+    assert abs(ticks - rate * horizon) < 4 * np.sqrt(rate * horizon)
     assert res.wall_time > 0.0
 
 
@@ -189,6 +207,24 @@ def test_random_policy_matches_closed_form(hom_spec):
     assert z.max() < 4.0
 
 
+@pytest.mark.slow
+def test_random_policy_matches_closed_form_per_type(het_spec):
+    """Per-type occupancy on two types whose slots differ in width (top
+    rates 1.0 and 4.0); a homogeneous cluster has one width and cannot show
+    a wrong one."""
+    rep = stationary.solve_random(het_spec)
+    runs = []
+    for k in range(6):
+        res = sim.run(het_spec, Policy("random"), n=1000, horizon=100,
+                      seed=(32, k), sample_interval=2.0)
+        runs.append([part[20:].mean(axis=0) for part in res.trajectory.parts])
+    for k, want in enumerate(rep.nu.parts):
+        got = np.array([r[k] for r in runs])
+        se = got.std(axis=0, ddof=1) / np.sqrt(len(got))
+        z = np.abs(got.mean(axis=0) - want) / np.maximum(se, 1e-9)
+        assert z.max() < 4.0, (k, got.mean(axis=0), want)
+
+
 def _draw_digest(res):
     """SHA-256 (first 16 hex digits) of one run's records and counters."""
     h = hashlib.sha256()
@@ -212,49 +248,49 @@ GOLDEN_POLICIES = {
 # (fixture, seed, horizon, lam): lam None keeps the fixture's arrival rate
 GOLDEN_DIGESTS = {
     ("hom_spec", 3, 50, None): {
-        "random": "8b514ed9f7a642cb", "jiq": "564b3597ea28ed9e",
-        "jsqd2": "4ed6e92ef9f0bccb", "jsqd5": "452fd187c65fd0e8",
-        "jsq": "06339a1c50075660", "jbt": "46ea6ceadad08998",
-        "jsq@0.5": "8df9fa0119c5ae95", "jsqd2@0.7": "1db1299fb8728cfc",
-        "jsqd200": "06339a1c50075660",
+        "random": "7aa9c1ca261db414", "jiq": "3cbb11ab1c893f88",
+        "jsqd2": "cd324036a4b2363d", "jsqd5": "d4f6e5cfaf46c047",
+        "jsq": "b08bc4024cc36ea8", "jbt": "35ba3076c13de5d0",
+        "jsq@0.5": "55e7e467285b1f22", "jsqd2@0.7": "404673062379de9d",
+        "jsqd200": "b08bc4024cc36ea8",
     },
     ("hom_spec", 11, 50, None): {
-        "random": "11a34f65ab30bfa4", "jiq": "d7237bf1db7ef0fe",
-        "jsqd2": "ec3d988d6ab180f4", "jsqd5": "5e45b3fdbce6f4b2",
-        "jsq": "81bb4c98039959de", "jbt": "44bf02e193d4bc73",
-        "jsq@0.5": "58f0afb5cd2dffc5", "jsqd2@0.7": "b88dce4e323c7d51",
-        "jsqd200": "81bb4c98039959de",
+        "random": "54c78cba21c0be44", "jiq": "f5da517cc8e99782",
+        "jsqd2": "cd21e5b87169700b", "jsqd5": "de43dd3da4edec92",
+        "jsq": "bcb4fd77a131749f", "jbt": "d7cd7af19b03f441",
+        "jsq@0.5": "bf1a615aed6f38ef", "jsqd2@0.7": "29a6cd7a0c1d4435",
+        "jsqd200": "bcb4fd77a131749f",
     },
     ("het_spec", 3, 50, None): {
-        "random": "74bce89ed40e53f1", "jiq": "c8638a352ea0be3f",
-        "jsqd2": "c938d0f9bbd56547", "jsqd5": "4e6fc92548f08efe",
-        "jsq": "df68c1bbeca31184", "jbt": "3ad7371c7c3ee15c",
-        "jsq@0.5": "65b2c9561e90cdf3", "jsqd2@0.7": "decd4c477aaabd36",
-        "jsqd200": "df68c1bbeca31184",
+        "random": "1fe9535f0c23d3ca", "jiq": "7b152edc6dd4c05a",
+        "jsqd2": "b62b1d90e855d993", "jsqd5": "9f4586e9c0bace44",
+        "jsq": "039479cb8c9ef575", "jbt": "bd582bfb8c2aa631",
+        "jsq@0.5": "d0da7b8482a4b536", "jsqd2@0.7": "63bdf617d226a159",
+        "jsqd200": "039479cb8c9ef575",
     },
     ("het_spec", 11, 50, None): {
-        "random": "f41441bf54771fb6", "jiq": "51986e4fc3c722ec",
-        "jsqd2": "7ac5d9f286a67945", "jsqd5": "ae40886b8c0aeebf",
-        "jsq": "e6722a48da56443f", "jbt": "a285edad3eb07574",
-        "jsq@0.5": "5b43f1b1f482d033", "jsqd2@0.7": "45d2ac9c40908250",
-        "jsqd200": "e6722a48da56443f",
+        "random": "753c350f45d850a9", "jiq": "4fc996d7dddf1439",
+        "jsqd2": "5829ef45e81784f0", "jsqd5": "ab34c7d5f100eb37",
+        "jsq": "a9dee46fe5d22fde", "jbt": "ad7a5d5676fba8d4",
+        "jsq@0.5": "a650df1040719109", "jsqd2@0.7": "78deb59c3d504017",
+        "jsqd200": "a9dee46fe5d22fde",
     },
-    # unequal buffers, 3 and 7: the bucket rows differ in length
+    # unequal buffers, 3 and 7: the types' sample rows differ in length
     ("b37_spec", 3, 50, None): {
-        "random": "48d1f2cf6311d819", "jiq": "3fa147304dde925e",
-        "jsqd2": "8c909737bc6b7217", "jsqd5": "aae9917675af5e2e",
-        "jsq": "012b89eedaff6abc", "jbt": "3a2d50f8de9fc49b",
-        "jsq@0.5": "5fcb910c951fb84d", "jsqd2@0.7": "404dcd70350490ea",
-        "jsqd200": "012b89eedaff6abc",
+        "random": "253bf73a6ce8dbc6", "jiq": "b72a481bd1b5ecec",
+        "jsqd2": "5cdb606530643140", "jsqd5": "ccb02c5d54de0197",
+        "jsq": "2d50ea81ea9266e0", "jbt": "2add810fd15fed6b",
+        "jsq@0.5": "df6e748dcba1cfb7", "jsqd2@0.7": "29c69dc02fc9a514",
+        "jsqd200": "2d50ea81ea9266e0",
     },
     # above the smaller buffer's capacity, so JSQ loses jobs; the horizon
     # falls between sample ticks, so records after the last tick count
     ("b37_spec", 5, 50.3, 1.7): {
-        "random": "409cbcbb1c31bfa0", "jiq": "a86d186c8bd01037",
-        "jsqd2": "a993ce8cc7dc4603", "jsqd5": "a7ed3f269452352b",
-        "jsq": "288975cedeb1d776", "jbt": "f5e98a8765e72a06",
-        "jsq@0.5": "33a844d35dc3468d", "jsqd2@0.7": "b0b4280235ed51f1",
-        "jsqd200": "288975cedeb1d776",
+        "random": "f8391b04b5d2eddb", "jiq": "6c6ecbff3f399d75",
+        "jsqd2": "073af4efe71414a1", "jsqd5": "188c7e34b2a8d516",
+        "jsq": "5b20f1d509bd5c91", "jbt": "431a679db55629d8",
+        "jsq@0.5": "f9daa52a11be3abd", "jsqd2@0.7": "61da643563ddac8e",
+        "jsqd200": "5b20f1d509bd5c91",
     },
 }
 

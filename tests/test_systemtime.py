@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lbmf import stationary, systemtime
-from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve
+from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve, ValidationError
 
 from conftest import ALL_POLICIES
 from oracles import reference_queues, sojourn_weights
@@ -329,6 +329,15 @@ def test_lps_on_arrays_matches_pointwise(hom_spec, het_spec, policy):
         want = np.array([lps(complex(x)) for x in s])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
         assert type(lps(1j)) is complex
+
+
+def test_lps_requires_mpl_on_every_type(het_spec):
+    """The model's mpl rule, raised as a ValidationError naming the type."""
+    spec = ClusterSpec(lam=het_spec.lam, types=(
+        het_spec.types[0], ServerType(0.25, het_spec.types[1].curve)))
+    rep = stationary.solve_random(spec)
+    with pytest.raises(ValidationError, match="lps requires mpl on every type; type 1 has none"):
+        systemtime.mean_sojourn_lps(spec, Policy("random"), rep)
 
 
 def test_lps_mean_is_discipline_independent(hom_spec):
