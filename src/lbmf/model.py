@@ -248,6 +248,13 @@ def policy_violations(spec: ClusterSpec, policy: Policy) -> list:
     return out
 
 
+def run_violations(**lengths) -> list:
+    """The rule for a run's lengths of time (horizon, sample_interval, dt):
+    each is positive and finite."""
+    return [f"{name} must be positive and finite, got {value!r}"
+            for name, value in lengths.items() if not 0.0 < value < math.inf]
+
+
 def validate(spec: ClusterSpec, policy: Policy) -> list:
     """Check every model invariant; return human-readable violations."""
     if not spec.types:
@@ -367,11 +374,9 @@ def parse_config(text):
                     sample_interval=_number(rd["sample_interval"], "run.sample_interval"),
                     n_servers=_count(rd.get("n_servers"), "run.n_servers", 1),
                     seed=_count(rd.get("seed"), "run.seed", 0))
-    if run.horizon <= 0 or run.dt <= 0 or run.sample_interval <= 0:
-        raise ConfigError("run: horizon, dt and sample_interval must be positive")
-
     spec = ClusterSpec(lam=lam, types=tuple(types))
-    ValidationError.check(validate(spec, policy))
+    ValidationError.check(validate(spec, policy) + run_violations(
+        horizon=run.horizon, dt=run.dt, sample_interval=run.sample_interval))
     return spec, policy, run
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dispatch
 from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy, Trajectory,
-                    ValidationError, policy_violations, unpad)
+                    ValidationError, policy_violations, run_violations, unpad)
 
 DUST = 1e-13
 
@@ -131,11 +131,12 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
     """Trajectory from v0, sampled every ``sample_interval``.
 
     ``dt`` is snapped so an integer number of steps fits each sample. A
-    policy that ``model.policy_violations`` refuses raises ValidationError.
+    policy that ``model.policy_violations`` refuses, or a horizon, ``dt`` or
+    ``sample_interval`` that ``model.run_violations`` refuses, raises
+    ValidationError.
     """
-    ValidationError.check(policy_violations(spec, policy))
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    ValidationError.check(policy_violations(spec, policy) + run_violations(
+        horizon=horizon, dt=dt, sample_interval=sample_interval))
     per_sample = max(1, round(sample_interval / dt))
     dt = sample_interval / per_sample
     n_samples = int(horizon / sample_interval + 1e-9) + 1

@@ -2,52 +2,58 @@
 
 Each server owns a slot as wide as its type's top service rate top[k], so
 the clock ticks at the constant rate lam*N + sum_k n_k*top[k] for n_k servers
-of type k. A tick draws x uniformly over that total: below lam*N it is an
-arrival; otherwise x lands in one server's slot, and the server completes a
-job if x's offset in the slot is below its rate at its current length, and
-the tick is a null event if not. The slots lie in server order, type 0's
-servers first. This samples the same Markov chain as an
+of type k. A tick draws a mark x uniformly over that total: below lam*N it is
+an arrival; otherwise x lands in one server's slot, and the server completes
+a job if x's offset in the slot is below its rate at its current length, and
+the tick is a null event if not. This samples the same Markov chain as an
 exponential race over the current rates (uniformization with thinning:
-Jensen 1953; Lewis & Shedler 1979), and a completion needs no bookkeeping
-but the server's queue length. Per-server FIFO arrival stamps provide exact
+Jensen 1953; Lewis & Shedler 1979). Arrivals have slots too: one as wide as
+lam*N*control for those the policy routes, then N equal ones, one per
+server, for those routed at random (every arrival under random), so the
+mark is also the control coin. Per-server FIFO arrival stamps provide exact
 sojourn times.
 
-Policies that pick from a set keep it as a swap-remove pool, for O(1)
-uniform picks: jsq one pool per length across types, jiq the idle servers,
-jbt the servers below their type's threshold. random and jsqd read only the
-queue lengths. Sample rows count each type's queue lengths.
+No tick's time or mark depends on the state, so numpy draws them a block of
+2^13 ticks at a time and maps each mark to (j, o): its slot, j = -N-1 for a
+routed arrival, server - N for a random one and the server itself for a
+service slot, and its offset in slot units, below 1. A routed arrival's
+offset is a fresh uniform given the tick: it picks the pool member, or the
+tie among JSQ(d)'s shortest candidates. The event loop walks the block's
+(t, j, o) in segments split at the sample times, and keeps only the
+thinning test, the pick and the bookkeeping. Policies that pick from a set
+keep it as a swap-remove pool, for O(1) uniform picks: jsq one pool per
+length across types, jiq the idle servers and jbt the servers below their
+type's threshold, each falling back on a pool of every server. random and
+jsqd read only the queue lengths. Sample rows count each type's lengths.
 
-Randomness comes from one numpy PCG64 generator per run, read as two
-streams, exponentials and uniforms. Each stream is drawn in blocks of 2^14,
-and a block is drawn only when the stream's previous block is used up, so
-the first exponential block comes before the first uniform block. Every
-tick takes one exponential (the time to it) and one uniform (arrival, or
-the slot and the offset in it). A completion or null event takes no more.
-An arrival then takes the control coin when control < 1, then one uniform
-for the member of its pool (jsq; jiq and jbt while their pool is not
-empty), or the servers (one, or d distinct ones for JSQ(d)) and the
-tie-break among equally short candidates. This order and the block size fix
-the realization, so identical seeds give bit-identical results.
-Replications derive child seeds by spawning the root seed sequence and may
-run in processes (capped by LBMF_THREADS). A run refuses a policy that
-``model.policy_violations`` refuses and a type that does not serve
-(``model.serving_violations``), whose slot would have no width; the rest of
-the spec is not checked, so a run may start above capacity.
+Randomness comes from one numpy PCG64 generator per run. Each tick block
+draws 2^13 exponentials (the gaps, times 1/rate, summed on from the last
+block) and then 2^13 uniforms (the marks). JSQ(d) reads its candidates from
+the generator jumped (phi-1)*2^128 draws ahead, as integers drawn 2^13 at a
+time when the last block is used up: d distinct servers per routed arrival,
+redrawing a repeat, so how many it reads depends on the draws alone. Every
+policy at one seed thus sees the same tick times, arrivals and marks. The
+block size and this order fix the realization, so identical seeds give
+bit-identical results. Replications derive child seeds by spawning the root
+seed sequence and may run in processes (capped by LBMF_THREADS). A run
+refuses a policy that ``model.policy_violations`` refuses, a type that does
+not serve (``model.serving_violations``), whose slot would have no width,
+and a horizon or sample interval that ``model.run_violations`` refuses; the
+rest of the spec is not checked, so a run may start above capacity.
 
 The constant clock costs null ticks: 5-19% of all ticks on the two
-benchmark clusters, and more the lighter the load. At light load they cost
-more than the bookkeeping they save: on the homogeneous cluster at lam = 0.3
-(two thirds of the ticks null) a run takes about 1.5 times as long as an
-exponential race over the current rates, and the break-even lies between
-loads of about 0.3 and 0.5.
+benchmark clusters, and over half at light load (homogeneous lam = 0.3,
+heterogeneous lam = 0.5), but a null tick costs one loop step and one
+comparison. There the six policies take 0.7-0.85 times as long as an
+exponential race over the current rates did (jsq, jiq, jbt about as long).
 
 Each completion appends its record (arrival, departure, server type, length
-seen) to four plain lists. Every sample tick, and the tick past the horizon
-that ends the run, moves them into typed arrays of 8 bytes a field, which
-the result wraps without a copy. So a run holds its finished jobs as Python
-objects for one sample interval at most. The counters are derived once the
-loop ends: completions are the stored records, and arrivals are losses plus
-completions plus the jobs still queued.
+seen) to four plain lists. Every sample time, and the end of the run, moves
+them into typed arrays of 8 bytes a field, which the result wraps without a
+copy. So a run holds its finished jobs as Python objects for one sample
+interval at most. The counters are derived once the loop ends: completions
+are the stored records, arrivals are losses plus completions plus the jobs
+still queued, and null events are the ticks before the horizon less both.
 """
 
 from __future__ import annotations
@@ -57,15 +63,15 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from math import inf
 from time import perf_counter
 
 import numpy as np
 
 from .model import (ClusterSpec, Policy, Trajectory, ValidationError,
-                    policy_violations, serving_violations)
+                    policy_violations, run_violations, serving_violations)
 
-_BLOCK = 1 << 14  # draws per numpy call
+_BLOCK = 1 << 13  # ticks per block, and JSQ(d) candidates per block
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1: int(o * c) < c
 
 
 @dataclass
@@ -92,13 +98,6 @@ class SimResult:
         return self.arrivals - self.losses
 
 
-def _flush(stores, pending):
-    """Move each pending list's records onto the end of its typed store."""
-    for store, records in zip(stores, pending):
-        store.extend(records)
-        records.clear()
-
-
 def place_servers(spec: ClusterSpec, n: int):
     """Largest-remainder allocation of n servers to types, at least 1 each."""
     if n < spec.k:
@@ -114,192 +113,193 @@ def place_servers(spec: ClusterSpec, n: int):
     return counts
 
 
+def _sample(traj, rows, qlen, first, stores, pending):
+    """Set the sample ``rows`` (an index or a slice) of each type's
+    trajectory to the counts of its servers' queue lengths, and move each
+    pending list's records onto the end of its typed store."""
+    lengths = np.array(qlen)
+    for k, part in enumerate(traj):
+        part[rows] = np.bincount(lengths[first[k]:first[k + 1]], minlength=part.shape[1])
+    for store, records in zip(stores, pending):
+        store.extend(records)
+        records.clear()
+
+
 def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         seed=None, sample_interval: float = 1.0) -> SimResult:
     """Simulate ``n`` servers from empty up to ``horizon``."""
     wall0 = perf_counter()
-    ValidationError.check(policy_violations(spec, policy) + serving_violations(spec))
+    ValidationError.check(policy_violations(spec, policy) + serving_violations(spec)
+                          + run_violations(horizon=horizon, sample_interval=sample_interval))
     rng = np.random.default_rng(seed)
-    # floats from blocks each drawn on first use; a memoryview makes one float
-    # per draw as it is read, so no block is held as a list of Python floats
-    exp, uni = (chain.from_iterable(map(memoryview, map(method, repeat(_BLOCK)))).__next__
-                for method in (rng.standard_exponential, rng.random))
 
     types = range(spec.k)
     buf = list(spec.buffers)
     counts = place_servers(spec, n)
-    first = list(accumulate(counts, initial=0))  # type k: servers first[k] to first[k+1] - 1
+    first = list(accumulate(counts, initial=0))  # type k: servers first[k] to first[k + 1] - 1
     stype = [k for k, c in enumerate(counts) for _ in range(c)]
+    sbuf = [buf[k] for k in stype]
     top = [max(t.curve.rates) for t in spec.types]
-    # per type: its slots' total width (the last one unbounded, for float
-    # edges), 1 / slot width, first server, count and rates in slot units
-    slots = [(counts[k] * top[k] if k < spec.k - 1 else inf, 1.0 / top[k], first[k],
-              counts[k], [r / top[k] for r in spec.types[k].curve.rates]) for k in types]
-    lam_total = spec.lam * n
-    rate = lam_total + sum(c * w for c, w in zip(counts, top))
-    scale = 1.0 / rate if rate > 0.0 else inf
+    # per server: its type's rates in slot units, one list shared per type
+    rel = [[r / top[k] for r in spec.types[k].curve.rates] for k in types]
+    srel = [rel[k] for k in stype]
     qlen = [0] * n
     fifo = [deque() for _ in range(n)]
 
-    kind, d, control = policy.kind, policy.d, policy.control
+    kind, d = policy.kind, policy.d
     if kind == "jsqd" and d >= n:
         kind = "jsq"
+    control = 0.0 if kind == "random" else policy.control
+    jsqd = kind == "jsqd"
+    # the mark line in regions of equal slots, as (slot width, slots, index
+    # of the first): one slot for the arrivals the policy routes, n for those
+    # routed at random (to server j + n), then each type's servers
+    lam_total = spec.lam * n
+    width, slots, base = (np.array(col) for col in zip(
+        (lam_total * control, 1, -n - 1), (lam_total * (1.0 - control) / n, n, -n),
+        *((top[k], counts[k], first[k]) for k in types)))
+    edges = np.concatenate(([0.0], np.cumsum(width * slots)))
+    rate, start, inner = edges[-1], edges[:-1], edges[1:-1]
+    # a region without width is never picked, since start[g] <= x < start[g + 1]
+    inv = np.divide(1.0, width, out=np.zeros_like(width), where=width > 0.0)
+    last = slots - 1.0
+    if jsqd:
+        # candidates from a second stream: the generator, jumped far ahead
+        aux = np.random.Generator(rng.bit_generator.jumped())
+        cand = chain.from_iterable(map(memoryview, map(
+            aux.integers, repeat(0), repeat(n), repeat(_BLOCK)))).__next__
+
     # key[k][i]: the pool of a type-k server at length i, -1 for none
+    key = None
     if kind == "jsq":
         key = [list(range(b + 1)) for b in buf]
+        pools = [list(range(n))] + [[] for _ in range(max(buf))]
     elif kind in ("jiq", "jbt"):
-        # one pool: the idle servers, or those below their type's threshold
+        # pool 0: the idle servers, or those below their type's threshold;
+        # pool 1: every server, picked from while pool 0 is empty
         below = [1 if kind == "jiq" else t.mpl for t in spec.types]
         key = [[0] * m + [-1] * (b + 1 - m) for b, m in zip(buf, below)]
-        kind = "pool"
-    else:
-        key = None
-    pools = [list(range(n))] + [[] for _ in range(max(buf))]
+        pools = [list(range(n)), list(range(n))]
+    skey = [key[k] for k in stype] if key else None
     pos = list(range(n))
-    low = 0  # no pool below it holds a server (jsq)
+    low = 0  # no pool below it holds a server
 
     # list.append costs about a quarter of array.append, so the event loop
-    # appends to lists and the sample ticks move their records into stores
+    # appends to lists and each sample time moves their records into stores
     arr_t, dep_t, dep_k, dep_seen = pending = ([], [], [], [])
     stores = (array("d"), array("d"), array("q"), array("q"))
-    losses = null_events = 0
+    losses = ticks = 0
 
     n_samples = int(horizon / sample_interval + 1e-9) + 1
-    traj = [np.empty((n_samples, buf[k] + 1)) for k in types]
-    sample_idx = 0
-    next_due = 0.0  # time of the next sample
-
-    t = 0.0
-    while True:
-        t_next = t + exp() * scale
-        if t_next + 1e-12 >= next_due:
-            # the last tick samples every row left: n_samples allows the
-            # last sample to fall up to 1e-9 intervals past the horizon
-            upto = t_next if t_next < horizon else inf
-            while sample_idx < n_samples and sample_idx * sample_interval <= upto + 1e-12:
-                lengths = np.array(qlen)
-                for k in types:
-                    traj[k][sample_idx] = np.bincount(lengths[first[k]:first[k + 1]],
-                                                      minlength=buf[k] + 1)
-                sample_idx += 1
-            next_due = min(sample_idx * sample_interval, horizon)
-            _flush(stores, pending)
-            if t_next >= horizon:
-                break
-        t = t_next
-        x = uni() * rate
-        if x < lam_total:
-            pick = kind
-            if control < 1.0 and uni() >= control:
-                pick = "random"
-            if pick == "jsq" or pick == "pool" and pools[0]:
-                # uniform over the shortest queues, or over jiq's or jbt's pool
-                while not pools[low]:
-                    low += 1
-                pl = pools[low]
-                c = len(pl)
-                r = int(uni() * c)
-                j = pl[r if r < c else -1]
-            elif pick == "jsqd":
-                # d distinct uniform servers; ties on the shortest break uniformly
-                c = int(uni() * n)
-                if c >= n:
-                    c = n - 1
-                picked = [c]
-                ties = [c]
-                best = qlen[c]
-                got = 1
-                while got < d:
-                    c = int(uni() * n)
-                    if c >= n:
-                        c = n - 1
-                    if c not in picked:
-                        picked.append(c)
-                        got += 1
-                        q = qlen[c]
-                        if q < best:
-                            best = q
-                            ties = [c]
-                        elif q == best:
-                            ties.append(c)
-                nt = len(ties)
-                if nt == 1:
-                    j = ties[0]
-                else:
-                    r = int(uni() * nt)
-                    j = ties[r if r < nt else -1]
-            else:
-                j = int(uni() * n)
-                if j >= n:
-                    j = n - 1
-            k = stype[j]
-            i = qlen[j]
-            if i >= buf[k]:
-                losses += 1
-                continue
-            i_new = i + 1
-            fifo[j].append((t, i))
-        else:
-            x -= lam_total
-            for width, inv, j0, c, rel in slots:
-                if x < width:
-                    break
-                x -= width
-            u = x * inv
-            r = int(u)
-            if r >= c:
-                r = c - 1
-            j = j0 + r
-            i = qlen[j]
-            # u - r is exact, so an idle server (rate 0) never completes
-            if u - r >= rel[i]:
-                null_events += 1
-                continue
-            i_new = i - 1
-            k = stype[j]
-            t0, seen = fifo[j].popleft()
-            arr_t.append(t0)
-            dep_t.append(t)
-            dep_k.append(k)
-            dep_seen.append(seen)
-        qlen[j] = i_new
-        if key is not None:
-            a = key[k][i]
-            b = key[k][i_new]
-            if a != b:
-                # swap-remove server j from pool a, append it to pool b
-                if a >= 0:
-                    pl = pools[a]
-                    p = pos[j]
-                    last = pl[-1]
-                    pl[p] = last
-                    pos[last] = p
-                    pl.pop()
-                if b >= 0:
-                    pl = pools[b]
-                    pos[j] = len(pl)
-                    pl.append(j)
-                    if b < low:
-                        low = b
-
     times = np.arange(n_samples) * sample_interval
-    parts = tuple(a / n for a in traj)
+    traj = [np.empty((n_samples, buf[k] + 1)) for k in types]
+    m, t_last = 0, 0.0  # the next sample row, the last tick drawn
+    while True:
+        tick_t = np.cumsum(rng.standard_exponential(_BLOCK) / rate)
+        tick_t += t_last
+        t_last = tick_t[-1]
+        x = rng.random(_BLOCK) * rate
+        g = inner.searchsorted(x, "right")
+        u = (x - start[g]) * inv[g]
+        r = np.minimum(np.floor(u), last[g])
+        tick_j = base[g] + r.astype(np.int64)
+        tick_o = np.minimum(u - r, _BELOW_ONE)
+        del x, g, u, r  # the loop holds three block arrays, not seven
+        end = int(tick_t.searchsorted(horizon))
+        cuts = tick_t.searchsorted(times[m:times.searchsorted(t_last, "right")])
+        a = 0
+        # memoryviews make one Python number per tick as it is read
+        mt, mj, mo = memoryview(tick_t), memoryview(tick_j), memoryview(tick_o)
+        for b in cuts[cuts < end].tolist() + [end]:
+            for t, j, o in zip(mt[a:b], mj[a:b], mo[a:b]):
+                if j >= 0:
+                    # server j's slot: a completion if o is below its rate
+                    i = qlen[j]
+                    if o >= srel[j][i]:
+                        continue
+                    t0, seen = fifo[j].popleft()
+                    arr_t.append(t0)
+                    dep_t.append(t)
+                    dep_k.append(stype[j])
+                    dep_seen.append(seen)
+                    i_new = i - 1
+                else:
+                    if j >= -n:
+                        j += n
+                    elif jsqd:
+                        # d distinct uniform servers; o breaks ties on the shortest
+                        c = cand()
+                        picked, ties, best, got = [c], [c], qlen[c], 1
+                        while got < d:
+                            c = cand()
+                            if c not in picked:
+                                picked.append(c)
+                                got += 1
+                                q = qlen[c]
+                                if q < best:
+                                    best, ties = q, [c]
+                                elif q == best:
+                                    ties.append(c)
+                        j = ties[int(o * len(ties))]
+                    else:
+                        # uniform over the lowest pool that holds a server
+                        while not pools[low]:
+                            low += 1
+                        pl = pools[low]
+                        j = pl[int(o * len(pl))]
+                    i = qlen[j]
+                    if i >= sbuf[j]:
+                        losses += 1
+                        continue
+                    fifo[j].append((t, i))
+                    i_new = i + 1
+                qlen[j] = i_new
+                if skey is not None:
+                    key = skey[j]
+                    src = key[i]
+                    dst = key[i_new]
+                    if src != dst:
+                        # swap-remove server j from pool src, append it to pool dst
+                        if src >= 0:
+                            pl = pools[src]
+                            p = pos[j]
+                            moved = pl[-1]
+                            pl[p] = moved
+                            pos[moved] = p
+                            pl.pop()
+                        if dst >= 0:
+                            pl = pools[dst]
+                            pos[j] = len(pl)
+                            pl.append(j)
+                            if dst < low:
+                                low = dst
+            if b < end:
+                _sample(traj, m, qlen, first, stores, pending)
+                m += 1
+            a = b
+        ticks += end
+        if end < _BLOCK:
+            break
+    # the rows left, up to 1e-9 intervals past the horizon, hold its state
+    _sample(traj, slice(m, None), qlen, first, stores, pending)
+
     arr_s, dep_s, k_s, seen_s = stores
     in_flight = sum(qlen)
+    arrivals = losses + len(arr_s) + in_flight
     return SimResult(
-        trajectory=Trajectory(times=times, parts=parts),
+        trajectory=Trajectory(times=times, parts=tuple(a / n for a in traj)),
         arrival_time=np.frombuffer(arr_s),
         departure_time=np.frombuffer(dep_s),
         server_type=np.frombuffer(k_s, dtype=np.int64),
         length_seen=np.frombuffer(seen_s, dtype=np.int64),
-        arrivals=losses + len(arr_s) + in_flight,
+        arrivals=arrivals,
         losses=losses,
         completions=len(arr_s),
         in_flight=in_flight,
         n=n,
         horizon=horizon,
         sample_interval=sample_interval,
-        null_events=null_events,
+        null_events=ticks - arrivals - len(arr_s),
         wall_time=perf_counter() - wall0,
     )
 

@@ -133,7 +133,9 @@ def test_table_empty_steady_window_is_an_error_cell(tmp_path):
 
 
 def test_dist_empty_steady_window_exits_with_error_line(tmp_path, capsys):
-    cfg = hom_config(tmp_path, run={"n_servers": 1000, "horizon": 0.05, "dt": 0.01,
+    # as in the table case; at n = 1000 a quarter of the seeds leave a job
+    # in the window, at n = 20 about one seed in 200 does
+    cfg = hom_config(tmp_path, run={"n_servers": 20, "horizon": 0.05, "dt": 0.01,
                                     "seed": 1, "sample_interval": 0.5})
     out = tmp_path / "out"
     assert cli.main(["dist", "--config", str(cfg), "--out", str(out),
@@ -277,13 +279,15 @@ def test_table_heterogeneous_per_type_rows(tmp_path):
     (["table", "--n", "150", "--replications", "0"], {}),
     (["table", "--n", "0,inf"], {}),
     (["transient"], {"run": {"horizon": float("inf"), "dt": 0.01, "sample_interval": 1.0}}),
+    (["table", "--n", "10"], {"run": {"horizon": 20.0, "dt": 0.01, "sample_interval": 0.0}}),
     (["table", "--n", "10"], {"types": [{"gamma": 1.0, "mu": [1.0, float("nan"), 2.0]}]}),
     (["table"], {"lambda": 10 ** 400})],
     ids=["policies-jsqd:x", "policies-jsqd:2.5", "n-1e3", "table-d-2.5", "transient-d-2.5",
          "d-true", "mpl-2.5", "gamma-x", "mu-a", "n_servers-2.5",
          "d-list-2.5", "d-list-0", "points-0", "bins-0",
          "transient-seed--1", "dist-seed--1", "table-seed--1", "t-max--1", "t-max-0",
-         "replications-0", "n-0", "horizon-inf", "mu-nan", "lambda-1e400"])
+         "replications-0", "n-0", "horizon-inf", "sample_interval-0", "mu-nan",
+         "lambda-1e400"])
 def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
     """Malformed policies, config fields and option values exit 1 with an
     error line, not a traceback or ERROR cells, before anything is computed."""

@@ -85,6 +85,33 @@ def test_layers_refuse_invalid_policy(layer, policy, match):
         call()
 
 
+@pytest.mark.parametrize("layer,param,value", [
+    ("sim", "horizon", 0.0), ("sim", "horizon", -1.0), ("sim", "horizon", np.inf),
+    ("sim", "horizon", np.nan), ("sim", "sample_interval", 0.0),
+    ("sim", "sample_interval", np.inf), ("ode", "horizon", np.inf),
+    ("ode", "sample_interval", -0.5), ("ode", "dt", 0.0), ("ode", "dt", np.nan)],
+    ids=lambda v: str(v))
+def test_layers_refuse_bad_run_lengths(layer, param, value):
+    """A horizon, sample interval or step that is not positive and finite is
+    refused by name, where it would divide by zero, size an array by NaN or,
+    with ticks drawn in blocks, run for ever."""
+    spec = ClusterSpec(lam=0.5, types=(
+        ServerType(1.0, ServiceRateCurve.from_mu([1.0, 1.0])),))
+    kwargs = {"horizon": 1.0, "sample_interval": 0.5, param: value}
+    call = {"sim": lambda: sim.run(spec, Policy("random"), n=10, seed=0, **kwargs),
+            "ode": lambda: ode.integrate(Occupancy.empty(spec), spec, Policy("random"),
+                                         **kwargs)}[layer]
+    with pytest.raises(ValidationError, match=f"^{param} must be positive and finite"):
+        call()
+
+
+def test_parse_refuses_a_non_positive_run_length():
+    doc = _hom_config()
+    doc["run"]["sample_interval"] = 0
+    with pytest.raises(ValidationError, match="^sample_interval must be positive"):
+        parse_config(json.dumps(doc))
+
+
 def _hom_config(**overrides):
     doc = {
         "lambda": 1.25,

@@ -245,52 +245,63 @@ GOLDEN_POLICIES = {
     "jsqd200": Policy("jsqd", d=200),  # d >= n: full shortest queue
 }
 
+def test_every_policy_sees_the_same_tick_process(het_spec):
+    """Tick times and marks are drawn apart from the state, so at one seed
+    every policy, with or without control and with d >= n, has the same
+    arrivals and the same ticks before the horizon."""
+    seen = {}
+    for name, policy in GOLDEN_POLICIES.items():
+        res = sim.run(het_spec, policy, n=200, horizon=30, seed=8)
+        seen[name] = (res.arrivals, res.arrivals + res.completions + res.null_events)
+    assert len(set(seen.values())) == 1, seen
+
+
 # (fixture, seed, horizon, lam): lam None keeps the fixture's arrival rate
 GOLDEN_DIGESTS = {
     ("hom_spec", 3, 50, None): {
-        "random": "7aa9c1ca261db414", "jiq": "3cbb11ab1c893f88",
-        "jsqd2": "cd324036a4b2363d", "jsqd5": "d4f6e5cfaf46c047",
-        "jsq": "b08bc4024cc36ea8", "jbt": "35ba3076c13de5d0",
-        "jsq@0.5": "55e7e467285b1f22", "jsqd2@0.7": "404673062379de9d",
-        "jsqd200": "b08bc4024cc36ea8",
+        "random": "b4a138ea68fa2e02", "jiq": "2ecd447174851036",
+        "jsqd2": "08ed34f2d910b409", "jsqd5": "4a8518f0d7123d00",
+        "jsq": "a325155d26c269db", "jbt": "953243f8db11d7eb",
+        "jsq@0.5": "a93f827cb7e97608", "jsqd2@0.7": "8c04714588167c62",
+        "jsqd200": "a325155d26c269db",
     },
     ("hom_spec", 11, 50, None): {
-        "random": "54c78cba21c0be44", "jiq": "f5da517cc8e99782",
-        "jsqd2": "cd21e5b87169700b", "jsqd5": "de43dd3da4edec92",
-        "jsq": "bcb4fd77a131749f", "jbt": "d7cd7af19b03f441",
-        "jsq@0.5": "bf1a615aed6f38ef", "jsqd2@0.7": "29a6cd7a0c1d4435",
-        "jsqd200": "bcb4fd77a131749f",
+        "random": "8e7e60b99f34eacd", "jiq": "eaa9f9d9fc01d64f",
+        "jsqd2": "a6e848555f945772", "jsqd5": "fbe9d466d0447388",
+        "jsq": "dc777731dc9e8f0b", "jbt": "6a14b4ef34a93e8b",
+        "jsq@0.5": "efe8aee85dcdeab0", "jsqd2@0.7": "4e0efd3de87f16b2",
+        "jsqd200": "dc777731dc9e8f0b",
     },
     ("het_spec", 3, 50, None): {
-        "random": "1fe9535f0c23d3ca", "jiq": "7b152edc6dd4c05a",
-        "jsqd2": "b62b1d90e855d993", "jsqd5": "9f4586e9c0bace44",
-        "jsq": "039479cb8c9ef575", "jbt": "bd582bfb8c2aa631",
-        "jsq@0.5": "d0da7b8482a4b536", "jsqd2@0.7": "63bdf617d226a159",
-        "jsqd200": "039479cb8c9ef575",
+        "random": "e4ea736a4c397bc6", "jiq": "5296ed930f568a49",
+        "jsqd2": "a482ddbadbd66f61", "jsqd5": "f248a45fd4c056d3",
+        "jsq": "4131f4af10b77154", "jbt": "f4938dd45936f0c9",
+        "jsq@0.5": "1fbbf4b54eac55f1", "jsqd2@0.7": "2363cd3416e237c8",
+        "jsqd200": "4131f4af10b77154",
     },
     ("het_spec", 11, 50, None): {
-        "random": "753c350f45d850a9", "jiq": "4fc996d7dddf1439",
-        "jsqd2": "5829ef45e81784f0", "jsqd5": "ab34c7d5f100eb37",
-        "jsq": "a9dee46fe5d22fde", "jbt": "ad7a5d5676fba8d4",
-        "jsq@0.5": "a650df1040719109", "jsqd2@0.7": "78deb59c3d504017",
-        "jsqd200": "a9dee46fe5d22fde",
+        "random": "f7d7d0b776444f6c", "jiq": "7b3ef3a6d4c3fe76",
+        "jsqd2": "bb075765679fef94", "jsqd5": "1e0b143eab7e6614",
+        "jsq": "144ee08eb8458d4c", "jbt": "d2a1506582d526f9",
+        "jsq@0.5": "b4abc462895b344b", "jsqd2@0.7": "bebf0a7735da496d",
+        "jsqd200": "144ee08eb8458d4c",
     },
     # unequal buffers, 3 and 7: the types' sample rows differ in length
     ("b37_spec", 3, 50, None): {
-        "random": "253bf73a6ce8dbc6", "jiq": "b72a481bd1b5ecec",
-        "jsqd2": "5cdb606530643140", "jsqd5": "ccb02c5d54de0197",
-        "jsq": "2d50ea81ea9266e0", "jbt": "2add810fd15fed6b",
-        "jsq@0.5": "df6e748dcba1cfb7", "jsqd2@0.7": "29c69dc02fc9a514",
-        "jsqd200": "2d50ea81ea9266e0",
+        "random": "ca048ad87d288052", "jiq": "cd49cc7eb8a8afa5",
+        "jsqd2": "f2b80d02e965f5d0", "jsqd5": "8c8871a09514f2e2",
+        "jsq": "bcbbefda9ce9876e", "jbt": "a71dc53d1062b11b",
+        "jsq@0.5": "4e711442bd28f764", "jsqd2@0.7": "3f3cd9902ab8d62e",
+        "jsqd200": "bcbbefda9ce9876e",
     },
     # above the smaller buffer's capacity, so JSQ loses jobs; the horizon
     # falls between sample ticks, so records after the last tick count
     ("b37_spec", 5, 50.3, 1.7): {
-        "random": "f8391b04b5d2eddb", "jiq": "6c6ecbff3f399d75",
-        "jsqd2": "073af4efe71414a1", "jsqd5": "188c7e34b2a8d516",
-        "jsq": "5b20f1d509bd5c91", "jbt": "431a679db55629d8",
-        "jsq@0.5": "f9daa52a11be3abd", "jsqd2@0.7": "61da643563ddac8e",
-        "jsqd200": "5b20f1d509bd5c91",
+        "random": "2273fddfa78100be", "jiq": "8fcd4d84beb53b02",
+        "jsqd2": "fbdc27399f40c492", "jsqd5": "890dae2a3c551817",
+        "jsq": "4b2fcc0666aa2e8c", "jbt": "be5cd0193bbf6c40",
+        "jsq@0.5": "c72a76a13d4d766c", "jsqd2@0.7": "37f3fc1393b9999c",
+        "jsqd200": "4b2fcc0666aa2e8c",
     },
 }
 
@@ -306,7 +317,8 @@ def _golden_id(case):
 @pytest.mark.parametrize("case", GOLDEN_DIGESTS, ids=_golden_id)
 def test_run_is_bit_identical_to_recorded_draws(request, case):
     """Each run's realization is pinned: n = 200 up to horizon 50 crosses at
-    least one refill of both draw blocks, so block timing is pinned too."""
+    least one refill of the tick blocks, and of JSQ(d)'s candidate blocks,
+    so block timing is pinned too."""
     fixture, seed, horizon, lam = case
     spec = request.getfixturevalue(fixture)
     if lam is not None:
