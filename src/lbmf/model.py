@@ -255,6 +255,13 @@ def run_violations(**lengths) -> list:
             for name, value in lengths.items() if not 0.0 < value < math.inf]
 
 
+def size_violations(spec: ClusterSpec, **sizes) -> list:
+    """The rule for a cluster's server count (n, n_servers): one server of
+    every type of ``spec`` at least; None means the caller's default."""
+    return [f"{name}={n} leaves some of the {spec.k} types without a server"
+            for name, n in sizes.items() if n is not None and n < spec.k]
+
+
 def validate(spec: ClusterSpec, policy: Policy) -> list:
     """Check every model invariant; return human-readable violations."""
     if not spec.types:
@@ -376,7 +383,8 @@ def parse_config(text):
                     seed=_count(rd.get("seed"), "run.seed", 0))
     spec = ClusterSpec(lam=lam, types=tuple(types))
     ValidationError.check(validate(spec, policy) + run_violations(
-        horizon=run.horizon, dt=run.dt, sample_interval=run.sample_interval))
+        horizon=run.horizon, dt=run.dt, sample_interval=run.sample_interval)
+        + size_violations(spec, n_servers=run.n_servers))
     return spec, policy, run
 
 

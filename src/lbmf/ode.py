@@ -10,19 +10,24 @@ the boundary of the occupancy simplex the hard part:
 * each step is a midpoint rule, demoted to its first-order stage whenever
   the two stage fields disagree about which levels receive arrivals - a
   full midpoint step across such a jump can cancel its own boundary flux
-  and freeze the trajectory.
+  and freeze the trajectory;
+* one boundary sweep clears each type's entries below a floor into its
+  largest entry, keeping type masses exact: negative overshoot after each
+  sub-step, and residue below DUST before each sub-step and after the step.
 
 Fields are evaluated verbatim on the current state (no sliding-mode
 construction); near a discontinuous attractor the trajectory hovers within
 O(dt) of it, and the pointwise derivative does not vanish there.
+``solve_to_stationarity`` runs ``integrate`` one check interval at a time
+until that derivative falls below its tolerance.
 
 The state is the occupancy's padded type-by-length rows, one list of
 Python floats per type (``Occupancy.rows``). Each step loops over those few
 dozen entries directly, since numpy's per-call overhead would outweigh the
 arithmetic. Every sum and product runs in a fixed order, which the
-trajectory digests in the tests pin to the bit. Rates and
-fields are zero past each type's buffer, so those entries have zero
-derivative and stay exactly zero. Trajectories are handed back per type.
+trajectory digests in the tests pin to the bit. Rates and fields are zero
+past each type's buffer, so those entries have zero derivative and stay
+exactly zero. Trajectories are handed back per type.
 """
 
 from __future__ import annotations
@@ -69,35 +74,18 @@ def _has(x, lo):
     return False
 
 
-def _left_sum(row, idx):
-    """Sum of ``row[i]`` over idx, added left to right from 0.0."""
-    s = 0.0
-    for i in idx:
-        s += row[i]
-    return s
-
-
-def _settle(x):
-    """Clear sub-dust residue (including roundoff negatives) into each
-    type's largest entry, keeping type masses exact. Rows change in place."""
-    if _has(x, DUST):
+def _sweep(x, lo):
+    """Clear every nonzero entry below lo into its type's largest entry,
+    summed left to right from 0.0. Rows change in place."""
+    if _has(x, lo):
         for row in x:
-            tiny = [i for i, v in enumerate(row) if v < DUST and v != 0.0]
-            row[row.index(max(row))] += _left_sum(row, tiny)
-            for i in tiny:
-                row[i] = 0.0
-    return x
-
-
-def _clamp(x):
-    """Zero negative overshoot, paying for it out of the largest entry."""
-    if _has(x, 0.0):
-        for row in x:
-            neg = [i for i, v in enumerate(row) if v < 0.0]
-            deficit = _left_sum(row, neg)
-            for i in neg:
-                row[i] = 0.0
-            row[row.index(max(row))] += deficit
+            top = row.index(max(row))
+            s = 0.0
+            for i, v in enumerate(row):
+                if v < lo and v != 0.0:
+                    s += v
+                    row[i] = 0.0
+            row[top] += s
     return x
 
 
@@ -106,7 +94,7 @@ def _advance(x, buffers, rates, spec, policy, dt):
     lam = spec.lam
     remaining = dt
     for _ in range(64):
-        x = _settle(x)
+        x = _sweep(x, DUST)
         f1 = dispatch.field(Occupancy.from_rows(x, buffers), spec, policy)
         k1 = _deriv(rates, lam, x, f1.rows)
         h = remaining
@@ -114,16 +102,16 @@ def _advance(x, buffers, rates, spec, policy, dt):
         if cuts:
             h = min(h, min(cuts))
         if h <= 0.0:
-            h = remaining  # only zero entries fall; clamp below handles them
+            h = remaining  # only zero entries fall; the sweep below clears them
         half = 0.5 * h
         mid = [[v + half * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k1)]
         f2 = dispatch.field(Occupancy.from_rows(mid, buffers), spec, policy)
         k = _deriv(rates, lam, mid, f2.rows) if _support(f1) == _support(f2) else k1
-        x = _clamp([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)])
+        x = _sweep([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)], 0.0)
         remaining -= h
         if remaining <= 1e-12 * dt:
-            return _settle(x)
-    return _settle(x)
+            return _sweep(x, DUST)
+    return _sweep(x, DUST)
 
 
 def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
@@ -157,31 +145,20 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
 def solve_to_stationarity(v0: Occupancy, spec: ClusterSpec, policy: Policy,
                           tol: float = 1e-9, t_max: float = 1e4,
                           dt: float = 1e-2, check_interval: float = 1.0) -> Occupancy:
-    """Integrate until the derivative is below tol in sup norm.
-
-    Raises ConvergenceError past ``t_max``, carrying the last state and
-    residual. Policies whose dispatch field jumps at the attractor never
-    settle pointwise and are expected to fail here; their stationary points
-    come from the regime-specific balance solvers instead.
-    """
-    ValidationError.check(policy_violations(spec, policy))
-    steps = max(1, round(check_interval / dt))
-    dt = check_interval / steps
-    x = [list(row) for row in v0.rows]
-    rates, buffers = spec.rates.tolist(), v0.buffers.tolist()
-    t = 0.0
-    residual = math.inf
+    """Integrate one ``check_interval`` at a time until the derivative is
+    below tol in sup norm. A refused policy, ``t_max``, ``dt`` or
+    ``check_interval`` raises ValidationError naming it; passing ``t_max``
+    raises ConvergenceError carrying the last state and residual."""
+    ValidationError.check(policy_violations(spec, policy) + run_violations(
+        t_max=t_max, dt=dt, check_interval=check_interval))
+    state, t, residual = v0, 0.0, math.inf
     while t < t_max:
-        for _ in range(steps):
-            x = _advance(x, buffers, rates, spec, policy, dt)
+        traj = integrate(state, spec, policy, check_interval, dt, check_interval)
+        state = Occupancy([part[-1] for part in traj.parts])
         t += check_interval
-        state = Occupancy.from_rows(x, v0.buffers)
-        if not np.isfinite(state.array).all():
-            raise ConvergenceError(f"non-finite state at t={t:g}")
         residual = float(np.max(np.abs(rhs(state, spec, policy))))
         if residual < tol:
             return state
     raise ConvergenceError(
         f"no stationary point within t_max={t_max:g} (residual {residual:.3e})",
-        residual=residual, state=Occupancy.from_rows(x, v0.buffers),
-    )
+        residual=residual, state=state)

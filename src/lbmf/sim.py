@@ -68,7 +68,7 @@ from time import perf_counter
 import numpy as np
 
 from .model import (ClusterSpec, Policy, Trajectory, ValidationError,
-                    policy_violations, run_violations, serving_violations)
+                    policy_violations, run_violations, serving_violations, size_violations)
 
 _BLOCK = 1 << 13  # ticks per block, and JSQ(d) candidates per block
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest float below 1: int(o * c) < c
@@ -100,8 +100,7 @@ class SimResult:
 
 def place_servers(spec: ClusterSpec, n: int):
     """Largest-remainder allocation of n servers to types, at least 1 each."""
-    if n < spec.k:
-        raise ValueError(f"need at least one server per type: n={n} < {spec.k}")
+    ValidationError.check(size_violations(spec, n=n))
     exact = [t.gamma * n for t in spec.types]
     counts = [int(x) for x in exact]
     order = sorted(range(spec.k), key=lambda k: exact[k] - counts[k], reverse=True)
@@ -314,18 +313,17 @@ def _replicate_one(args):
 
 
 def replicate(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
-              seed, r: int, sample_interval: float = 1.0, workers=None):
+              seed, r: int, sample_interval: float = 1.0):
     """``r`` independent runs with spawned child seeds, in index order.
 
-    ``workers`` defaults to the LBMF_THREADS environment variable; anything
-    above 1 runs replications in separate processes.
+    An LBMF_THREADS environment variable above 1 runs them in that many
+    separate processes at most.
     """
     if r < 1:
         raise ValueError("replication count must be >= 1")
     children = replication_seeds(seed, r)
     jobs = [(spec, policy, n, horizon, sample_interval, child) for child in children]
-    if workers is None:
-        workers = int(os.environ.get("LBMF_THREADS", "1"))
+    workers = int(os.environ.get("LBMF_THREADS", "1"))
     if workers > 1 and r > 1:
         from concurrent.futures import ProcessPoolExecutor
 

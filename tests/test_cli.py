@@ -255,6 +255,9 @@ def test_table_heterogeneous_per_type_rows(tmp_path):
     assert by_scope["entire"] == pytest.approx(5.933, abs=5e-3)
 
 
+TWO_TYPES = [{"gamma": 0.5, "mu": HOM_MU, "mpl": 5}, {"gamma": 0.5, "mu": HOM_MU, "mpl": 5}]
+
+
 @pytest.mark.parametrize("argv,doc", [
     (["table", "--policies", "jsqd:x"], {}),
     (["table", "--policies", "jsqd:2.5"], {}),
@@ -281,13 +284,17 @@ def test_table_heterogeneous_per_type_rows(tmp_path):
     (["transient"], {"run": {"horizon": float("inf"), "dt": 0.01, "sample_interval": 1.0}}),
     (["table", "--n", "10"], {"run": {"horizon": 20.0, "dt": 0.01, "sample_interval": 0.0}}),
     (["table", "--n", "10"], {"types": [{"gamma": 1.0, "mu": [1.0, float("nan"), 2.0]}]}),
-    (["table"], {"lambda": 10 ** 400})],
+    (["table"], {"lambda": 10 ** 400}),
+    (["dist"], {"types": TWO_TYPES, "run": {"n_servers": 1, "horizon": 20.0, "dt": 0.01,
+                                           "sample_interval": 1.0}}),
+    (["transient", "--overlay-sim"], {"types": TWO_TYPES, "run": {
+        "n_servers": 1, "horizon": 1.0, "dt": 0.01, "sample_interval": 0.5}})],
     ids=["policies-jsqd:x", "policies-jsqd:2.5", "n-1e3", "table-d-2.5", "transient-d-2.5",
          "d-true", "mpl-2.5", "gamma-x", "mu-a", "n_servers-2.5",
          "d-list-2.5", "d-list-0", "points-0", "bins-0",
          "transient-seed--1", "dist-seed--1", "table-seed--1", "t-max--1", "t-max-0",
          "replications-0", "n-0", "horizon-inf", "sample_interval-0", "mu-nan",
-         "lambda-1e400"])
+         "lambda-1e400", "dist-n_servers-1", "transient-n_servers-1"])
 def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
     """Malformed policies, config fields and option values exit 1 with an
     error line, not a traceback or ERROR cells, before anything is computed."""

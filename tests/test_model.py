@@ -89,18 +89,24 @@ def test_layers_refuse_invalid_policy(layer, policy, match):
     ("sim", "horizon", 0.0), ("sim", "horizon", -1.0), ("sim", "horizon", np.inf),
     ("sim", "horizon", np.nan), ("sim", "sample_interval", 0.0),
     ("sim", "sample_interval", np.inf), ("ode", "horizon", np.inf),
-    ("ode", "sample_interval", -0.5), ("ode", "dt", 0.0), ("ode", "dt", np.nan)],
+    ("ode", "sample_interval", -0.5), ("ode", "dt", 0.0), ("ode", "dt", np.nan),
+    ("stationarity", "dt", 0.0), ("stationarity", "dt", np.nan),
+    ("stationarity", "check_interval", 0.0), ("stationarity", "t_max", np.inf),
+    ("stationarity", "t_max", np.nan)],
     ids=lambda v: str(v))
 def test_layers_refuse_bad_run_lengths(layer, param, value):
-    """A horizon, sample interval or step that is not positive and finite is
-    refused by name, where it would divide by zero, size an array by NaN or,
-    with ticks drawn in blocks, run for ever."""
+    """A horizon, sample interval, step, check interval or time limit that
+    is not positive and finite is refused by name, where it would divide by
+    zero, size an array by NaN or run for ever."""
     spec = ClusterSpec(lam=0.5, types=(
         ServerType(1.0, ServiceRateCurve.from_mu([1.0, 1.0])),))
-    kwargs = {"horizon": 1.0, "sample_interval": 0.5, param: value}
+    v0 = Occupancy.empty(spec)
+    lengths = {} if layer == "stationarity" else {"horizon": 1.0, "sample_interval": 0.5}
+    kwargs = {**lengths, param: value}
     call = {"sim": lambda: sim.run(spec, Policy("random"), n=10, seed=0, **kwargs),
-            "ode": lambda: ode.integrate(Occupancy.empty(spec), spec, Policy("random"),
-                                         **kwargs)}[layer]
+            "ode": lambda: ode.integrate(v0, spec, Policy("random"), **kwargs),
+            "stationarity": lambda: ode.solve_to_stationarity(v0, spec, Policy("random"),
+                                                              **kwargs)}[layer]
     with pytest.raises(ValidationError, match=f"^{param} must be positive and finite"):
         call()
 

@@ -24,7 +24,7 @@ def test_placement_largest_remainder(het_spec):
         ServerType(0.99, ServiceRateCurve.from_mu([1.0] * 3)),
         ServerType(0.01, ServiceRateCurve.from_mu([1.0] * 3))))
     assert sim.place_servers(tiny, 5) == [4, 1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="^n=1 leaves some of the 2 types"):
         sim.place_servers(het_spec, 1)
 
 
@@ -148,22 +148,25 @@ def test_constant_rate_sojourn_expectation():
         assert abs(sample.mean() - expect) < 4 * se
 
 
-def test_replicate_order_independent(hom_spec):
+def test_replicate_order_independent(hom_spec, monkeypatch):
+    monkeypatch.setenv("LBMF_THREADS", "1")
     serial = sim.replicate(hom_spec, Policy("jiq"), n=100, horizon=10, seed=7,
-                           r=4, sample_interval=1.0, workers=1)
+                           r=4, sample_interval=1.0)
+    monkeypatch.setenv("LBMF_THREADS", "2")
     parallel = sim.replicate(hom_spec, Policy("jiq"), n=100, horizon=10, seed=7,
-                             r=4, sample_interval=1.0, workers=2)
+                             r=4, sample_interval=1.0)
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.arrival_time, b.arrival_time)
         assert a.losses == b.losses
 
 
-def test_replicate_single_is_plain_run(hom_spec):
+def test_replicate_single_is_plain_run(hom_spec, monkeypatch):
+    monkeypatch.setenv("LBMF_THREADS", "1")
     child = sim.replication_seeds(7, 1)[0]
     direct = sim.run(hom_spec, Policy("random"), n=100, horizon=10, seed=child,
                      sample_interval=1.0)
     reps = sim.replicate(hom_spec, Policy("random"), n=100, horizon=10, seed=7,
-                         r=1, sample_interval=1.0, workers=1)
+                         r=1, sample_interval=1.0)
     assert np.array_equal(direct.arrival_time, reps[0].arrival_time)
 
 
