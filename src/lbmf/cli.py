@@ -15,6 +15,7 @@ configuration, 2 numerical non-convergence, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
@@ -41,10 +42,10 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def _trajectory_rows(traj):
@@ -142,7 +143,6 @@ def _steady_window(res, horizon):
     lo, hi = horizon / 2, horizon - min(50.0, horizon / 4)
     mask = (res.arrival_time >= lo) & (res.arrival_time <= hi)
     if not mask.any():
-        # no comma in the message: table writes it into one CSV cell
         raise ConfigError(f"no job both arrived in the steady window from t = {lo:g} "
                           f"to {hi:g} and departed by run.horizon {horizon:g}; "
                           f"lengthen the horizon")

@@ -148,36 +148,25 @@ class Occupancy:
     hold i jobs. It is one (K, B_max + 1) array for all types, so that array
     code can work on the whole state at once; entries past a type's buffer
     ``buffers[k]`` are exactly zero. ``parts[k]`` views type k's lengths
-    0..B_k, which sum to that type's fleet share.
-
-    ``rows`` holds the same padded entries as one list of Python floats per
-    type, for the scalar loops of the dispatch fields and the ODE step.
-    Either form is built from the other on first use and then kept, so
-    change an occupancy only through ``array`` and before reading ``rows``.
+    0..B_k, which sum to that type's fleet share. The ODE step and the
+    dispatch fields work on ``array.tolist()``, the same padded entries as
+    one list of Python floats per type.
     """
 
-    __slots__ = ("_array", "_rows", "buffers")
+    __slots__ = ("array", "buffers")
 
     def __init__(self, parts):
         parts = [np.asarray(p, dtype=float) for p in parts]
         self.buffers = np.array([len(p) - 1 for p in parts])
-        self._array = np.zeros((len(parts), self.buffers.max() + 1))
-        self._rows = None
-        for row, p in zip(self._array, parts):
+        self.array = np.zeros((len(parts), self.buffers.max() + 1))
+        for row, p in zip(self.array, parts):
             row[:len(p)] = p
 
     @classmethod
     def from_array(cls, array, buffers) -> "Occupancy":
         """Wrap a padded array, without copying it."""
         x = cls.__new__(cls)
-        x._array, x._rows, x.buffers = array, None, buffers
-        return x
-
-    @classmethod
-    def from_rows(cls, rows, buffers) -> "Occupancy":
-        """Wrap padded rows of Python floats, without copying them."""
-        x = cls.__new__(cls)
-        x._array, x._rows, x.buffers = None, rows, buffers
+        x.array, x.buffers = array, buffers
         return x
 
     @classmethod
@@ -185,18 +174,6 @@ class Occupancy:
         x = cls([np.zeros(b + 1) for b in spec.buffers])
         x.array[:, 0] = spec.gammas()
         return x
-
-    @property
-    def array(self) -> np.ndarray:
-        if self._array is None:
-            self._array = np.array(self._rows)
-        return self._array
-
-    @property
-    def rows(self) -> list:
-        if self._rows is None:
-            self._rows = self._array.tolist()
-        return self._rows
 
     @property
     def parts(self) -> tuple:

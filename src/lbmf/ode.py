@@ -22,8 +22,9 @@ O(dt) of it, and the pointwise derivative does not vanish there.
 until that derivative falls below its tolerance.
 
 The state is the occupancy's padded type-by-length rows, one list of
-Python floats per type (``Occupancy.rows``). Each step loops over those few
-dozen entries directly, since numpy's per-call overhead would outweigh the
+Python floats per type (``Occupancy.array.tolist()``), and the dispatch
+fields read those rows as they are. Each step loops over those few dozen
+entries directly, since numpy's per-call overhead would outweigh the
 arithmetic. Every sum and product runs in a fixed order, which the
 trajectory digests in the tests pin to the bit. Rates and fields are zero
 past each type's buffer, so those entries have zero derivative and stay
@@ -57,8 +58,9 @@ def _deriv(rates, lam, x, f):
 def rhs(v: Occupancy, spec: ClusterSpec, policy: Policy):
     """Time derivative of the occupancy, as a padded array like
     ``v.array``; each type's row sums to zero."""
-    f = dispatch.field(v, spec, policy)
-    return np.array(_deriv(spec.rates.tolist(), spec.lam, v.rows, f.rows))
+    x = v.array.tolist()
+    f = dispatch.field(x, spec, policy)
+    return np.array(_deriv(spec.rates.tolist(), spec.lam, x, f.rows))
 
 
 def _support(f):
@@ -89,13 +91,13 @@ def _sweep(x, lo):
     return x
 
 
-def _advance(x, buffers, rates, spec, policy, dt):
+def _advance(x, rates, spec, policy, dt):
     """Move the padded state rows x forward by dt with boundary-exact sub-steps."""
     lam = spec.lam
     remaining = dt
     for _ in range(64):
         x = _sweep(x, DUST)
-        f1 = dispatch.field(Occupancy.from_rows(x, buffers), spec, policy)
+        f1 = dispatch.field(x, spec, policy)
         k1 = _deriv(rates, lam, x, f1.rows)
         h = remaining
         cuts = [v / -g for xr, kr in zip(x, k1) for v, g in zip(xr, kr) if g < -1e-300]
@@ -105,7 +107,7 @@ def _advance(x, buffers, rates, spec, policy, dt):
             h = remaining  # only zero entries fall; the sweep below clears them
         half = 0.5 * h
         mid = [[v + half * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k1)]
-        f2 = dispatch.field(Occupancy.from_rows(mid, buffers), spec, policy)
+        f2 = dispatch.field(mid, spec, policy)
         k = _deriv(rates, lam, mid, f2.rows) if _support(f1) == _support(f2) else k1
         x = _sweep([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)], 0.0)
         remaining -= h
@@ -129,13 +131,13 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
     dt = sample_interval / per_sample
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
-    x = [list(row) for row in v0.rows]
-    rates, buffers = spec.rates.tolist(), v0.buffers.tolist()
+    x = v0.array.tolist()
+    rates = spec.rates.tolist()
     traj = np.empty((n_samples,) + v0.array.shape)
     traj[0] = x
     for s in range(1, n_samples):
         for _ in range(per_sample):
-            x = _advance(x, buffers, rates, spec, policy, dt)
+            x = _advance(x, rates, spec, policy, dt)
         traj[s] = x
         if not np.isfinite(traj[s]).all():
             raise ConvergenceError(f"non-finite state at t={times[s]:g}")

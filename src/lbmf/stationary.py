@@ -223,7 +223,7 @@ def solve_jsq(spec: ClusterSpec) -> StationaryReport:
 
 def jsqd_balance_residual(spec: ClusterSpec, d: int, nu: Occupancy) -> float:
     """Sup-norm defect of the JSQ(d) balance equations plus type-mass constraints."""
-    f = dispatch.f_jsqd_limit(nu, d)
+    f = dispatch.f_jsqd_limit(nu.array.tolist(), nu.buffers, d)
     flow = spec.rates[:, 1:] * nu.array[:, 1:] - spec.lam * np.array(f.rows)[:, :-1]
     mass = nu.array.sum(axis=1) - spec.gammas()
     return float(max(np.abs(flow).max(), np.abs(mass).max()))

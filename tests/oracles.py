@@ -285,7 +285,7 @@ def reference_queues(spec, policy, report):
     """
     lam, z0 = spec.lam, report.z0
     if report.regime in CONTINUOUS_REGIMES:
-        f = dispatch.field(report.nu, spec, policy)
+        f = dispatch.field(report.nu.array.tolist(), spec, policy)
     out = []
     for k, (t, p) in enumerate(zip(spec.types, report.nu.parts)):
         b, mu = t.buffer, t.curve.rates

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -28,9 +29,8 @@ def hom_config(tmp_path, **overrides):
 
 
 def read_csv(path):
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
     return header, rows
 
 
@@ -91,6 +91,18 @@ def test_table_simulation_cell_with_error_cell(tmp_path):
     assert len(good) == 1 and float(good[0][4]) >= 0
     bad = [r for r in rows if r[0] == "jsqd(0)" and r[1] == "entire"]
     assert all(r[3].startswith("ERROR") for r in bad)
+
+
+def test_table_error_cell_with_comma_stays_one_field(tmp_path):
+    """An error message holding a comma is quoted into one CSV cell."""
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
+                     "--out", str(out), "--n", "inf",
+                     "--policies", "jsqd:0,random"]) == 0
+    header, rows = read_csv(out / "table.csv")
+    assert all(len(r) == 6 for r in [header] + rows)
+    bad = [r for r in rows if r[0] == "jsqd(0)"]
+    assert bad and all(r[3] == "ERROR: jsqd requires d >= 1, got 0" for r in bad)
 
 
 def test_dist_outputs(tmp_path, b5_spec):

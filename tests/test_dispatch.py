@@ -11,8 +11,13 @@ from oracles import (brute_force_choice_of_two, field_total, per_type_field,
                      sample_target)
 
 
+def state(x):
+    """Occupancy x as the field functions take it: padded float rows and buffers."""
+    return x.array.tolist(), x.buffers
+
+
 def occ(*parts):
-    return Occupancy([np.asarray(p, dtype=float) for p in parts])
+    return state(Occupancy([np.asarray(p, dtype=float) for p in parts]))
 
 
 def random_states(spec, rng, count):
@@ -34,12 +39,12 @@ def random_states(spec, rng, count):
 # --- random -----------------------------------------------------------------
 
 def test_random_empty_cluster():
-    f = f_random(occ([1.0, 0, 0]))
+    f = f_random(*occ([1.0, 0, 0]))
     assert f.parts[0][0] == 1.0 and field_total(f) == 1.0 and f.loss == 0.0
 
 
 def test_random_uniform_state_has_loss_channel():
-    f = f_random(occ(np.full(11, 1 / 11)))
+    f = f_random(*occ(np.full(11, 1 / 11)))
     assert np.allclose(f.parts[0][:10], 1 / 11)
     assert f.parts[0][10] == 0.0
     assert f.loss == pytest.approx(1 / 11)
@@ -47,7 +52,7 @@ def test_random_uniform_state_has_loss_channel():
 
 def test_random_full_type_is_all_loss():
     x = occ([0, 0, 0.6], [0.4, 0, 0])
-    f = f_random(x)
+    f = f_random(*x)
     assert f.loss == pytest.approx(0.6)
     assert f.parts[1][0] == pytest.approx(0.4)
 
@@ -56,7 +61,7 @@ def test_random_full_type_is_all_loss():
 
 def test_jiq_idle_share():
     x = occ([0.2, 0.3, 0, 0], [0.3, 0.2, 0, 0])
-    f = f_jiq(x)
+    f = f_jiq(*x)
     assert f.parts[0][0] == pytest.approx(0.4)
     assert f.parts[1][0] == pytest.approx(0.6)
     assert field_total(f) == pytest.approx(1.0)
@@ -64,8 +69,8 @@ def test_jiq_idle_share():
 
 def test_jiq_no_idle_falls_back_to_random():
     x = occ([0, 0.5, 0.5, 0])
-    f = f_jiq(x)
-    g = f_random(x)
+    f = f_jiq(*x)
+    g = f_random(*x)
     for a, b in zip(f.parts, g.parts):
         assert np.array_equal(a, b)
     assert f.loss == g.loss
@@ -73,7 +78,7 @@ def test_jiq_no_idle_falls_back_to_random():
 
 def test_jiq_all_idle_gives_type_fractions():
     x = occ([0.7, 0, 0], [0.3, 0, 0])
-    f = f_jiq(x)
+    f = f_jiq(*x)
     assert f.parts[0][0] == pytest.approx(0.7)
     assert f.parts[1][0] == pytest.approx(0.3)
 
@@ -82,20 +87,20 @@ def test_jiq_all_idle_gives_type_fractions():
 
 def test_jsq_targets_minimal_level():
     x = occ([0, 0, 0, 0.4, 0.6, 0, 0])
-    f = f_jsq(x)
+    f = f_jsq(*x)
     assert f.parts[0][3] == pytest.approx(1.0)
     assert f.parts[0][4] == 0.0
 
 
 def test_jsq_empty_system_splits_by_gamma():
     x = occ([0.7, 0, 0], [0.3, 0, 0])
-    f = f_jsq(x)
+    f = f_jsq(*x)
     assert f.parts[0][0] == pytest.approx(0.7)
     assert f.parts[1][0] == pytest.approx(0.3)
 
 
 def test_jsq_saturated_is_loss():
-    f = f_jsq(occ([0, 0, 1.0]))
+    f = f_jsq(*occ([0, 0, 1.0]))
     assert f.loss == pytest.approx(1.0) and field_total(f) == 0.0
 
 
@@ -104,8 +109,8 @@ def test_jsq_saturated_is_loss():
 def test_jsqd_one_is_random(hom_spec):
     rng = np.random.default_rng(0)
     for x in random_states(hom_spec, rng, 20):
-        f = f_jsqd_limit(x, 1)
-        g = f_random(x)
+        f = f_jsqd_limit(*state(x), 1)
+        g = f_random(*state(x))
         for a, b in zip(f.parts, g.parts):
             assert np.array_equal(a, b)
 
@@ -113,7 +118,7 @@ def test_jsqd_one_is_random(hom_spec):
 def test_jsqd_two_level_example():
     # two choices over a half-empty, half-single-job pool: the empty level
     # wins unless both draws miss it
-    f = f_jsqd_limit(occ([0.5, 0.5]), 2)
+    f = f_jsqd_limit(*occ([0.5, 0.5]), 2)
     assert f.parts[0][0] == pytest.approx(0.75)
     assert f.loss == pytest.approx(0.25)
 
@@ -121,7 +126,7 @@ def test_jsqd_two_level_example():
 def test_jsqd_matches_pair_enumeration(het_spec):
     rng = np.random.default_rng(1)
     for x in random_states(het_spec, rng, 10):
-        f = f_jsqd_limit(x, 2)
+        f = f_jsqd_limit(*state(x), 2)
         ref_parts, ref_loss = brute_force_choice_of_two(x.parts)
         for a, b in zip(f.parts, ref_parts):
             assert np.allclose(a, b, atol=1e-12)
@@ -130,8 +135,8 @@ def test_jsqd_matches_pair_enumeration(het_spec):
 
 def test_jsqd_large_d_approaches_jsq():
     x = occ([0, 0, 0, 0.5, 0.5, 0, 0, 0, 0, 0, 0])
-    f = f_jsqd_limit(x, 10 ** 6)
-    g = f_jsq(x)
+    f = f_jsqd_limit(*x, 10 ** 6)
+    g = f_jsq(*x)
     for a, b in zip(f.parts, g.parts):
         assert np.allclose(a, b, atol=1e-9)
 
@@ -141,8 +146,8 @@ def test_jsqd_large_d_approaches_jsq():
 def test_jbt_threshold_one_is_jiq(het_spec):
     rng = np.random.default_rng(2)
     for x in random_states(het_spec, rng, 20):
-        f = f_jbt(x, [1, 1])
-        g = f_jiq(x)
+        f = f_jbt(*state(x), [1, 1])
+        g = f_jiq(*state(x))
         for a, b in zip(f.parts, g.parts):
             assert np.allclose(a, b, atol=1e-15)
         assert f.loss == pytest.approx(g.loss, abs=1e-15)
@@ -154,8 +159,8 @@ def test_jbt_threshold_at_buffer_is_random_when_available(het_spec):
         y = sum(p[:-1].sum() for p in x.parts)
         if y <= dispatch.ZERO_MASS:
             continue
-        f = f_jbt(x, [t.buffer for t in het_spec.types])
-        g = f_random(x)
+        f = f_jbt(*state(x), [t.buffer for t in het_spec.types])
+        g = f_random(*state(x))
         denom = y  # jbt renormalizes over available servers
         for a, b in zip(f.parts, g.parts):
             assert np.allclose(a * denom, b, atol=1e-12)
@@ -163,8 +168,8 @@ def test_jbt_threshold_at_buffer_is_random_when_available(het_spec):
 
 def test_jbt_all_above_threshold_falls_back():
     x = occ([0, 0, 0.6, 0.4])
-    f = f_jbt(x, [2])
-    g = f_random(x)
+    f = f_jbt(*x, [2])
+    g = f_random(*x)
     for a, b in zip(f.parts, g.parts):
         assert np.array_equal(a, b)
 
@@ -174,19 +179,19 @@ def test_jbt_all_above_threshold_falls_back():
 def test_partial_identity_and_fixed_point(hom_spec):
     rng = np.random.default_rng(4)
     for x in random_states(hom_spec, rng, 10):
-        inner = f_jsq(x)
-        assert f_partial(inner, x, 1.0) is inner
-        rnd = f_random(x)
-        mixed = f_partial(rnd, x, 0.5)
+        inner = f_jsq(*state(x))
+        assert f_partial(inner, x.array.tolist(), 1.0) is inner
+        rnd = f_random(*state(x))
+        mixed = f_partial(rnd, x.array.tolist(), 0.5)
         for a, b in zip(mixed.parts, rnd.parts):
             assert np.allclose(a, b, atol=1e-15)
 
 
 def test_partial_is_convex_combination(hom_spec):
     x = occ([0, 0.4, 0.3, 0.2, 0.1, 0, 0, 0, 0, 0, 0])
-    f = field(x, hom_spec, Policy("jsq", control=0.3))
-    jsq_part = f_jsq(x)
-    rnd = f_random(x)
+    f = field(x[0], hom_spec, Policy("jsq", control=0.3))
+    jsq_part = f_jsq(*x)
+    rnd = f_random(*x)
     for a, b, c in zip(f.parts, jsq_part.parts, rnd.parts):
         assert np.allclose(a, 0.3 * b + 0.7 * c, atol=1e-15)
 
@@ -198,7 +203,7 @@ def test_mass_conservation_every_policy(het_spec, b37_spec, policy):
     rng = np.random.default_rng(5)
     for spec in (het_spec, b37_spec):
         for x in random_states(spec, rng, 30):
-            f = field(x, spec, policy)
+            f = field(x.array.tolist(), spec, policy)
             assert all((p >= 0).all() for p in f.parts)
             assert all(p[-1] == 0.0 for p in f.parts)
             assert field_total(f) <= 1 + 1e-12
@@ -214,7 +219,7 @@ def test_field_matches_per_type_reference(het_spec, b37_spec, policy):
     for spec in (het_spec, b37_spec):
         thresholds = [t.mpl for t in spec.types]
         for x in random_states(spec, rng, 30):
-            f = field(x, spec, policy)
+            f = field(x.array.tolist(), spec, policy)
             ref, loss = per_type_field(x.parts, thresholds, policy)
             assert all(np.array_equal(a, b) for a, b in zip(f.parts, ref))
             assert f.loss == loss
@@ -263,7 +268,7 @@ def test_sampling_frequencies_match_field(het_spec, policy):
     lengths = np.concatenate([np.repeat(np.arange(len(c)), c) for c in counts])
     types = np.concatenate([np.full(c.sum(), k) for k, c in enumerate(counts)])
     x = Occupancy([c / n for c in counts])
-    f = field(x, het_spec, policy)
+    f = field(x.array.tolist(), het_spec, policy)
 
     draws = 20_000
     freq = [np.zeros(t.buffer + 1) for t in het_spec.types]

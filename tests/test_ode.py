@@ -56,7 +56,7 @@ def test_rhs_is_padded_array_and_field_exposes_parts(b37_spec):
         d = ode.rhs(x, spec, policy)
         assert isinstance(d, np.ndarray) and d.shape == x.array.shape == (2, 8)
         assert np.abs(d.sum(axis=1)).max() < 1e-14
-        f = dispatch.field(x, spec, policy)
+        f = dispatch.field(x.array.tolist(), spec, policy)
         assert [p.shape for p in f.parts] == [(4,), (8,)]
         assert isinstance(f.loss, float)
         assert sum(p.sum() for p in f.parts) + f.loss == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +72,7 @@ def test_unequal_buffers_rhs_and_padding(b37_spec, monkeypatch):
         for _ in range(10):
             x = random_state(spec, rng)
             d = ode.rhs(x, spec, policy)
-            f = dispatch.field(x, spec, policy).parts
+            f = dispatch.field(x.array.tolist(), spec, policy).parts
             for k, (t, p, fp) in enumerate(zip(spec.types, x.parts, f)):
                 mu, b = t.curve.rates, t.buffer
                 want = [(lam * fp[i - 1] if i else 0.0) - lam * fp[i]
@@ -86,7 +86,7 @@ def test_unequal_buffers_rhs_and_padding(b37_spec, monkeypatch):
 
     def spy(x, spec, policy):
         f = field(x, spec, policy)
-        seen.append(np.abs(x.array[past]).max() + np.abs(np.array(f.rows)[past]).max())
+        seen.append(np.abs(np.array(x)[past]).max() + np.abs(np.array(f.rows)[past]).max())
         return f
 
     monkeypatch.setattr(dispatch, "field", spy)

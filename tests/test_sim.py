@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,10 +111,19 @@ def test_horizon_just_below_a_tick_fills_its_sample(hom_spec):
 @pytest.mark.slow
 def test_run_memory_is_bounded_by_its_records(hom_spec):
     """A run's traced peak stays within 3x the bytes of the records it
-    returns: finished jobs are not held as Python objects until the end.
-    Tracing every allocation makes this run about 30x slower than untraced."""
+    returns: finished jobs are not held as Python objects until the end."""
     policy = Policy("jsqd", d=2)
     sim.run(hom_spec, policy, n=1000, horizon=60, seed=1)  # warm-up
+    # One short run under a no-op trace function: on CPython 3.11.7 it takes
+    # the traced run below from about 9 s to 0.9 s and leaves its peak as it
+    # was. The slowness is in how the interpreter runs the one large ``run``
+    # function under allocation tracing, not in the allocations counted.
+    saved = sys.gettrace()
+    sys.settrace(lambda *_: None)
+    try:
+        sim.run(hom_spec, policy, n=1000, horizon=1, seed=1)
+    finally:
+        sys.settrace(saved)
     tracemalloc.start()
     try:
         res = sim.run(hom_spec, policy, n=1000, horizon=60, seed=2)
