@@ -23,6 +23,18 @@ GAMMA_RENORM_LIMIT = 1e-9
 POLICY_KINDS = ("random", "jiq", "jsq", "jsqd", "jbt")
 
 
+def left_sum(values) -> float:
+    """Sum of floats, left to right from 0.0.
+
+    This is what the builtin ``sum`` did before CPython 3.12 made it
+    compensated, so the analytic outputs keep their bits on every Python.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class ConfigError(ValueError):
     """Malformed or out-of-schema configuration document."""
 
@@ -109,7 +121,7 @@ class ClusterSpec:
 
     def capacity(self, i) -> float:
         """Service rate per server with every queue at length i, or at its buffer."""
-        return sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in self.types)
+        return left_sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in self.types)
 
 
 @dataclass(frozen=True)
@@ -339,7 +351,7 @@ def parse_config(text):
             curve=ServiceRateCurve.from_mu([_number(r, f"types[{k}].mu") for r in mu]),
             mpl=_count(td.get("mpl"), f"types[{k}].mpl", 1)))
 
-    gsum = sum(t.gamma for t in types)
+    gsum = left_sum(t.gamma for t in types)
     if abs(gsum - 1.0) > GAMMA_RENORM_LIMIT:
         raise ConfigError(f"type fractions sum to {gsum!r}; rejecting (off by more than 1e-9)")
     if abs(gsum - 1.0) > GAMMA_SUM_TOL:

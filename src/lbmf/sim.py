@@ -10,8 +10,9 @@ exponential race over the current rates (uniformization with thinning:
 Jensen 1953; Lewis & Shedler 1979). Arrivals have slots too: one as wide as
 lam*N*control for those the policy routes, then N equal ones, one per
 server, for those routed at random (every arrival under random), so the
-mark is also the control coin. Per-server FIFO arrival stamps provide exact
-sojourn times.
+mark is also the control coin. Each server serves its jobs in arrival
+order (FIFO), so a job's sojourn time is exact: its departure tick less its
+arrival tick.
 
 No tick's time or mark depends on the state, so numpy draws them a block of
 2^13 ticks at a time and maps each mark to (j, o): its slot, j = -N-1 for a
@@ -19,8 +20,8 @@ routed arrival, server - N for a random one and the server itself for a
 service slot, and its offset in slot units, below 1. A routed arrival's
 offset is a fresh uniform given the tick: it picks the pool member, or the
 tie among JSQ(d)'s shortest candidates. The event loop walks the block's
-(t, j, o) in segments split at the sample times, and keeps only the
-thinning test, the pick and the bookkeeping. Policies that pick from a set
+(j, o) in segments split at the sample times, and keeps only the thinning
+test, the pick and the queue lengths. Policies that pick from a set
 keep it as a swap-remove pool, for O(1) uniform picks: jsq one pool per
 length across types, jiq the idle servers and jbt the servers below their
 type's threshold, each falling back on a pool of every server. random and
@@ -47,20 +48,22 @@ heterogeneous lam = 0.5), but a null tick costs one loop step and one
 comparison. There the six policies take 0.7-0.85 times as long as an
 exponential race over the current rates did (jsq, jiq, jbt about as long).
 
-Each completion appends its record (arrival, departure, server type, length
-seen) to four plain lists. Every sample time, and the end of the run, moves
-them into typed arrays of 8 bytes a field, which the result wraps without a
-copy. So a run holds its finished jobs as Python objects for one sample
-interval at most. The counters are derived once the loop ends: completions
-are the stored records, arrivals are losses plus completions plus the jobs
-still queued, and null events are the ticks before the horizon less both.
+The loop keeps an event log of plain lists, indexed by the tick's place in
+its block: a routed arrival appends its server, every arrival the length it
+saw (a full buffer means a loss) and a completion its tick index. At the end
+of each block ``_match`` turns the log into records (arrival, departure,
+server type, length seen) in numpy, pairing each completion with the oldest
+job waiting at its server; the jobs still waiting carry over. The records
+are kept as one array per field and block and joined once at the end, so
+Python objects hold one block's log at most and the peak memory stays near
+the records' own size. Arrivals and losses are counted per block;
+completions are the records, and null events are the ticks before the
+horizon less arrivals and completions.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from time import perf_counter
@@ -112,16 +115,58 @@ def place_servers(spec: ClusterSpec, n: int):
     return counts
 
 
-def _sample(traj, rows, qlen, first, stores, pending):
+def _sample(traj, rows, qlen, first):
     """Set the sample ``rows`` (an index or a slice) of each type's
-    trajectory to the counts of its servers' queue lengths, and move each
-    pending list's records onto the end of its typed store."""
+    trajectory to the counts of its servers' queue lengths."""
     lengths = np.array(qlen)
     for k, part in enumerate(traj):
         part[rows] = np.bincount(lengths[first[k]:first[k + 1]], minlength=part.shape[1])
-    for store, records in zip(stores, pending):
-        store.extend(records)
+
+
+def _match(tick_t, tick_j, n, log, wait, stores, stype, sbuf):
+    """Turn one block's event log into records, FIFO per server.
+
+    ``tick_t`` and ``tick_j`` end at the block's last tick before the
+    horizon. ``log`` holds, in tick order, the routed arrivals' servers,
+    every arrival's length seen and the completions' tick indices; an
+    arrival that saw its server's buffer ``sbuf`` full was lost. ``wait``
+    holds the jobs waiting from earlier blocks as (arrival time, server,
+    length seen), in arrival order. Each completion takes the oldest waiting
+    job at its server, and the records are appended to ``stores`` in
+    completion order. Returns the jobs still waiting, the block's arrivals
+    and its losses.
+    """
+    picks, seen, done = log
+    arr = np.flatnonzero(tick_j < 0)
+    srv = tick_j[arr] + n
+    srv[srv < 0] = np.fromiter(picks, np.int64, len(picks))  # routed: slot -n - 1
+    saw = np.fromiter(seen, np.int64, len(seen))
+    keep = np.flatnonzero(saw < sbuf[srv])
+    w_t, w_s, w_q = wait
+    job_t = np.concatenate((w_t, tick_t[arr[keep]]))
+    job_s = np.concatenate((w_s, srv[keep].astype(w_s.dtype)))
+    job_q = np.concatenate((w_q, saw[keep]))
+    dep = np.fromiter(done, np.intp, len(done))
+    dep_s = tick_j[dep].astype(w_s.dtype)
+    # stable sorts group jobs and completions by server, in time order (8-
+    # and 16-bit keys sort by radix), and the r-th completion at a server
+    # takes the r-th job there: a server's jobs start sum(jobs - completions
+    # at lower servers) places further along the sorted jobs than its
+    # completions do along the sorted completions
+    by_s = np.argsort(job_s, kind="stable")
+    dep_by_s = np.argsort(dep_s, kind="stable")
+    surplus = np.bincount(job_s, minlength=n) - np.bincount(dep_s, minlength=n)
+    shift = np.cumsum(surplus) - surplus
+    take = np.empty_like(dep)
+    take[dep_by_s] = by_s[np.arange(len(dep)) + shift[dep_s[dep_by_s]]]
+    for store, col in zip(stores, (job_t[take], tick_t[dep], stype[dep_s], job_q[take])):
+        store.append(col)
+    left = np.ones(len(job_t), dtype=bool)
+    left[take] = False
+    left = np.flatnonzero(left)
+    for records in log:
         records.clear()
+    return (job_t[left], job_s[left], job_q[left]), len(arr), len(arr) - len(keep)
 
 
 def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
@@ -143,7 +188,6 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     rel = [[r / top[k] for r in spec.types[k].curve.rates] for k in types]
     srel = [rel[k] for k in stype]
     qlen = [0] * n
-    fifo = [deque() for _ in range(n)]
 
     kind, d = policy.kind, policy.d
     if kind == "jsqd" and d >= n:
@@ -183,11 +227,15 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     pos = list(range(n))
     low = 0  # no pool below it holds a server
 
-    # list.append costs about a quarter of array.append, so the event loop
-    # appends to lists and each sample time moves their records into stores
-    arr_t, dep_t, dep_k, dep_seen = pending = ([], [], [], [])
-    stores = (array("d"), array("d"), array("q"), array("q"))
-    losses = ticks = 0
+    # the event log, as lists: routed arrivals' servers, every arrival's
+    # length seen and the completions' tick indices; each block's log is
+    # matched into one array per record field
+    picks, seen, done = log = ([], [], [])
+    stores = ([], [], [], [])
+    stype_np, sbuf_np = np.array(stype, dtype=np.int64), np.array(sbuf)
+    wait = (np.empty(0), np.empty(0, dtype=np.min_scalar_type(n - 1)),
+            np.empty(0, dtype=np.int64))
+    arrivals = losses = ticks = 0
 
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
@@ -207,50 +255,48 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         end = int(tick_t.searchsorted(horizon))
         cuts = tick_t.searchsorted(times[m:times.searchsorted(t_last, "right")])
         a = 0
-        # memoryviews make one Python number per tick as it is read
-        mt, mj, mo = memoryview(tick_t), memoryview(tick_j), memoryview(tick_o)
+        # memoryviews make one Python number per tick as it is read; t is
+        # the tick's index in its block
+        mj, mo = memoryview(tick_j), memoryview(tick_o)
         for b in cuts[cuts < end].tolist() + [end]:
-            for t, j, o in zip(mt[a:b], mj[a:b], mo[a:b]):
+            for t, j, o in zip(range(a, b), mj[a:b], mo[a:b]):
                 if j >= 0:
                     # server j's slot: a completion if o is below its rate
                     i = qlen[j]
                     if o >= srel[j][i]:
                         continue
-                    t0, seen = fifo[j].popleft()
-                    arr_t.append(t0)
-                    dep_t.append(t)
-                    dep_k.append(stype[j])
-                    dep_seen.append(seen)
+                    done.append(t)
                     i_new = i - 1
                 else:
                     if j >= -n:
                         j += n
-                    elif jsqd:
-                        # d distinct uniform servers; o breaks ties on the shortest
-                        c = cand()
-                        picked, ties, best, got = [c], [c], qlen[c], 1
-                        while got < d:
-                            c = cand()
-                            if c not in picked:
-                                picked.append(c)
-                                got += 1
-                                q = qlen[c]
-                                if q < best:
-                                    best, ties = q, [c]
-                                elif q == best:
-                                    ties.append(c)
-                        j = ties[int(o * len(ties))]
                     else:
-                        # uniform over the lowest pool that holds a server
-                        while not pools[low]:
-                            low += 1
-                        pl = pools[low]
-                        j = pl[int(o * len(pl))]
+                        if jsqd:
+                            # d distinct uniform servers; o breaks ties on the shortest
+                            c = cand()
+                            picked, ties, best, got = [c], [c], qlen[c], 1
+                            while got < d:
+                                c = cand()
+                                if c not in picked:
+                                    picked.append(c)
+                                    got += 1
+                                    q = qlen[c]
+                                    if q < best:
+                                        best, ties = q, [c]
+                                    elif q == best:
+                                        ties.append(c)
+                            j = ties[int(o * len(ties))]
+                        else:
+                            # uniform over the lowest pool that holds a server
+                            while not pools[low]:
+                                low += 1
+                            pl = pools[low]
+                            j = pl[int(o * len(pl))]
+                        picks.append(j)
                     i = qlen[j]
+                    seen.append(i)
                     if i >= sbuf[j]:
-                        losses += 1
-                        continue
-                    fifo[j].append((t, i))
+                        continue  # lost: its server's buffer is full
                     i_new = i + 1
                 qlen[j] = i_new
                 if skey is not None:
@@ -273,24 +319,33 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                             if dst < low:
                                 low = dst
             if b < end:
-                _sample(traj, m, qlen, first, stores, pending)
+                _sample(traj, m, qlen, first)
                 m += 1
             a = b
+        wait, came, lost = _match(tick_t[:end], tick_j[:end], n, log, wait, stores,
+                                  stype_np, sbuf_np)
+        arrivals += came
+        losses += lost
         ticks += end
         if end < _BLOCK:
             break
     # the rows left, up to 1e-9 intervals past the horizon, hold its state
-    _sample(traj, slice(m, None), qlen, first, stores, pending)
+    _sample(traj, slice(m, None), qlen, first)
 
-    arr_s, dep_s, k_s, seen_s = stores
+    # join one field at a time, freeing its blocks, so the peak holds the
+    # records once and one field twice
+    records = []
+    for store in stores:
+        records.append(np.concatenate(store))
+        store.clear()
+    arr_s, dep_s, k_s, seen_s = records
     in_flight = sum(qlen)
-    arrivals = losses + len(arr_s) + in_flight
     return SimResult(
         trajectory=Trajectory(times=times, parts=tuple(a / n for a in traj)),
-        arrival_time=np.frombuffer(arr_s),
-        departure_time=np.frombuffer(dep_s),
-        server_type=np.frombuffer(k_s, dtype=np.int64),
-        length_seen=np.frombuffer(seen_s, dtype=np.int64),
+        arrival_time=arr_s,
+        departure_time=dep_s,
+        server_type=k_s,
+        length_seen=seen_s,
         arrivals=arrivals,
         losses=losses,
         completions=len(arr_s),

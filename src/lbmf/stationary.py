@@ -27,8 +27,8 @@ import numpy as np
 
 from . import dispatch
 from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
-                    ValidationError, policy_violations, serving_violations,
-                    validate)
+                    ValidationError, left_sum, policy_violations,
+                    serving_violations, validate)
 
 CRITICAL_BAND = 1e-10
 # JSQ(d) homotopy stages: Newton converges at |T(alpha) - alpha| <= NEWTON_TOL
@@ -99,7 +99,7 @@ def _chains(spec, arrivals, floor) -> np.ndarray:
         mu, u = t.curve.rates, [1.0]
         for j in range(floor, t.buffer):
             u.append(u[-1] * a[j] / mu[j + 1])
-        total = sum(u)
+        total = left_sum(u)
         rows.append([0.0] * floor + [t.gamma * x / total for x in u]
                     + [0.0] * (len(a) - 1 - t.buffer))
     return np.array(rows)
@@ -331,7 +331,7 @@ def solve_jbt(spec: ClusterSpec) -> StationaryReport:
     ends at its threshold."""
     ValidationError.check(serving_violations(spec) + policy_violations(spec, Policy("jbt")))
     lam = spec.lam
-    cap = sum(t.gamma * t.curve.rates[t.mpl] for t in spec.types)
+    cap = left_sum(t.gamma * t.curve.rates[t.mpl] for t in spec.types)
     if not (lam < cap):
         raise ValidationError([f"jbt threshold capacity {cap} does not exceed lambda {lam}; "
                                "outside the analyzed regime"])
@@ -357,5 +357,5 @@ def little(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     for t, p, lam_k in zip(spec.types, report.nu.parts, report.lambda_eff):
         per_type.append(float(np.arange(len(p)) @ p) / p.sum() / lam_k)
         weights.append(t.gamma * lam_k)
-    overall = sum(w * h for w, h in zip(weights, per_type)) / sum(weights)
+    overall = left_sum(w * h for w, h in zip(weights, per_type)) / left_sum(weights)
     return tuple(per_type), float(overall)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import ilt
-from .model import ClusterSpec, Policy, ValidationError, mpl_violations
+from .model import ClusterSpec, Policy, ValidationError, left_sum, mpl_violations
 from .stationary import StationaryReport
 
 # Talbot points re-inverted with Euler, and the relative gap that flags one.
@@ -121,8 +121,8 @@ def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
             h[i, start:b + 1] = row[start:b + 1]
         tables.append(h)
     weights = [(k, j, w) for k, q in enumerate(queues) for j, w in q.levels.items()]
-    total = sum(w for _, _, w in weights)
-    mean = sum(w * tables[k][j][j] for k, j, w in weights) / total
+    total = left_sum(w for _, _, w in weights)
+    mean = left_sum(w * tables[k][j][j] for k, j, w in weights) / total
     return float(mean), tables
 
 

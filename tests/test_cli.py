@@ -1,6 +1,8 @@
+import builtins
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -353,3 +355,50 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
                      "--policies", "random,jiq,jsq,jbt"]) == 0
     got["table"] = _digest(out / "table.csv")
     assert got == GOLDEN_CLI_DIGESTS
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` of CPython 3.12 and later, in Python: exact over
+    ints, then Neumaier-compensated over floats, then plain ``+`` from the
+    first item that is neither."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for x in items:
+            if type(x) is not int:
+                total = total + x
+                break
+            total += x
+        else:
+            return total
+    if type(total) is float:
+        f, c = total, 0.0
+        for x in items:
+            if type(x) is float:
+                t = f + x
+                c += (f - t) + x if abs(f) >= abs(x) else (x - t) + f
+                f = t
+            elif type(x) is int and -2 ** 63 <= x < 2 ** 63:
+                f += float(x)
+            else:
+                total = (f + c if c and math.isfinite(c) else f) + x
+                break
+        else:
+            return f + c if c and math.isfinite(c) else f
+    for x in items:
+        total = total + x
+    return total
+
+
+def test_table_digest_holds_under_a_compensated_sum(tmp_path, monkeypatch):
+    """Python 3.12 made the builtin ``sum`` of floats compensated, which
+    moves the analytic table's bits where it sums; those sums run left to
+    right through ``model.left_sum``, so the recorded digest holds under
+    either ``sum``."""
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    out = tmp_path / "table"
+    assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
+                     "--out", str(out), "--n", "inf",
+                     "--policies", "random,jiq,jsq,jbt"]) == 0
+    assert _digest(out / "table.csv") == GOLDEN_CLI_DIGESTS["table"]

@@ -135,12 +135,32 @@ def test_run_memory_is_bounded_by_its_records(hom_spec):
     assert peak < 3 * record_bytes, (peak, record_bytes)
 
 
-def test_fifo_departure_order_single_server():
-    spec = small_spec(lam=0.8, mu=1.0, b=4)
-    res = sim.run(spec, Policy("random"), n=1, horizon=500, seed=9,
-                  sample_interval=10)
-    order = np.argsort(res.arrival_time)
-    assert np.all(np.diff(res.departure_time[order]) > 0)
+def test_fifo_departure_order_single_server(monkeypatch):
+    """One overloaded server over several tick blocks, with jobs waiting at
+    every block's end, under random and under jsq with a buffer that loses
+    jobs: departures come in arrival order, each job saw the earlier jobs
+    not yet gone, and every arrival was lost, done or is still queued."""
+    match, waiting = sim._match, []
+
+    def spy(*args):
+        out = match(*args)
+        waiting.append(len(out[0][0]))
+        return out
+
+    monkeypatch.setattr(sim, "_match", spy)
+    for policy, b in ((Policy("random"), 8), (Policy("jsq"), 3)):
+        waiting.clear()
+        res = sim.run(small_spec(lam=3.0, mu=1.0, b=b), policy, n=1, horizon=10000,
+                      seed=3, sample_interval=100)
+        assert len(waiting) > 3 and all(waiting)
+        arr, dep = res.arrival_time, res.departure_time
+        assert np.all(np.diff(arr) > 0) and np.all(np.diff(dep) > 0)
+        # with one server in FIFO order, the jobs gone by an arrival are
+        # earlier ones, and as many as the departures up to it
+        ahead = np.arange(len(arr)) - dep.searchsorted(arr)
+        assert np.array_equal(res.length_seen, ahead)
+        assert res.losses > 0
+        assert res.arrivals == res.losses + res.completions + res.in_flight
 
 
 def test_constant_rate_sojourn_expectation():

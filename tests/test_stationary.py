@@ -5,7 +5,7 @@ import pytest
 
 from lbmf import ode, stationary, systemtime
 from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
-                        ServerType, ServiceRateCurve, ValidationError)
+                        ServerType, ServiceRateCurve, ValidationError, left_sum)
 
 from conftest import ALL_POLICIES
 from oracles import CONTINUOUS_REGIMES, mm1b_mean_system_time, reference_queues
@@ -282,7 +282,9 @@ def random_spec(rng):
 
 
 def capacity(types, i):
-    return sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in types)
+    # summed as ``ClusterSpec.capacity`` sums, so a load set at a capacity
+    # is exactly the solver's
+    return left_sum(t.gamma * t.curve.rates[min(i, t.buffer)] for t in types)
 
 
 SWEEP_POLICIES = {"jiq": [Policy("jiq")], "jbt": [Policy("jbt")], "jsq": [Policy("jsq")],
@@ -293,7 +295,7 @@ def sweep_loads(rng, types):
     """Random loads across each policy's stability region, loads exactly at
     each covering capacity, and loads just either side of sum(gamma mu(1))."""
     full = capacity(types, max(t.buffer for t in types))
-    limits = {"jiq": full, "jbt": sum(t.gamma * t.curve.rates[t.mpl] for t in types),
+    limits = {"jiq": full, "jbt": left_sum(t.gamma * t.curve.rates[t.mpl] for t in types),
               "jsq": capacity(types, min(t.buffer for t in types)), "jsqd": full}
     loads = []
     for kind, limit in limits.items():
