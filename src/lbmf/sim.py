@@ -18,14 +18,16 @@ No tick's time or mark depends on the state, so numpy draws them a block of
 2^13 ticks at a time and maps each mark to (j, o): its slot, j = -N-1 for a
 routed arrival, server - N for a random one and the server itself for a
 service slot, and its offset in slot units, below 1. A routed arrival's
-offset is a fresh uniform given the tick: it picks the pool member, or the
-tie among JSQ(d)'s shortest candidates. The event loop walks the block's
-(j, o) in segments split at the sample times, and keeps only the thinning
-test, the pick and the queue lengths. Policies that pick from a set
-keep it as a swap-remove pool, for O(1) uniform picks: jsq one pool per
-length across types, jiq the idle servers and jbt the servers below their
-type's threshold, each falling back on a pool of every server. random and
-jsqd read only the queue lengths. Sample rows count each type's lengths.
+offset is a fresh uniform given the tick: it picks the pool member. JSQ(d)
+does not read it: its d distinct candidates come in uniformly random order,
+so the first shortest one is uniform over the tied ones, as the power-of-d
+model asks. The event loop walks the block's (j, o) in segments split at
+the sample times, and keeps only the thinning test, the pick and the queue
+lengths. Policies that pick from a set keep it as a swap-remove pool, for
+O(1) uniform picks: jsq one pool per length across types, jiq the idle
+servers and jbt the servers below their type's threshold, each falling back
+on a pool of every server. random and jsqd read only the queue lengths.
+Sample rows count each type's lengths.
 
 Randomness comes from one numpy PCG64 generator per run. Each tick block
 draws 2^13 exponentials (the gaps, times 1/rate, summed on from the last
@@ -45,8 +47,9 @@ rest of the spec is not checked, so a run may start above capacity.
 The constant clock costs null ticks: 5-19% of all ticks on the two
 benchmark clusters, and over half at light load (homogeneous lam = 0.3,
 heterogeneous lam = 0.5), but a null tick costs one loop step and one
-comparison. There the six policies take 0.7-0.85 times as long as an
-exponential race over the current rates did (jsq, jiq, jbt about as long).
+comparison. At homogeneous lam = 0.3 the six policies' runs take
+0.55-0.9 times as long as an exponential race over the current rates did
+(N = 1000, horizon 60, best of 15 runs each; jsq the closest).
 
 The loop keeps an event log of plain lists, indexed by the tick's place in
 its block: a routed arrival appends its server, every arrival the length it
@@ -70,7 +73,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .model import (ClusterSpec, Policy, Trajectory, ValidationError,
+from .model import (ClusterSpec, ConfigError, Policy, Trajectory, ValidationError,
                     policy_violations, run_violations, serving_violations, size_violations)
 
 _BLOCK = 1 << 13  # ticks per block, and JSQ(d) candidates per block
@@ -272,20 +275,18 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                         j += n
                     else:
                         if jsqd:
-                            # d distinct uniform servers; o breaks ties on the shortest
-                            c = cand()
-                            picked, ties, best, got = [c], [c], qlen[c], 1
+                            # d distinct uniform servers, which come in
+                            # uniform order: the first shortest one is
+                            # uniform over the tied ones
+                            j = cand()
+                            picked, best, got = [j], qlen[j], 1
                             while got < d:
                                 c = cand()
                                 if c not in picked:
                                     picked.append(c)
                                     got += 1
-                                    q = qlen[c]
-                                    if q < best:
-                                        best, ties = q, [c]
-                                    elif q == best:
-                                        ties.append(c)
-                            j = ties[int(o * len(ties))]
+                                    if qlen[c] < best:
+                                        j, best = c, qlen[c]
                         else:
                             # uniform over the lowest pool that holds a server
                             while not pools[low]:
@@ -372,13 +373,18 @@ def replicate(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     """``r`` independent runs with spawned child seeds, in index order.
 
     An LBMF_THREADS environment variable above 1 runs them in that many
-    separate processes at most.
+    separate processes at most; one that is not an integer is a
+    ``ConfigError``.
     """
     if r < 1:
         raise ValueError("replication count must be >= 1")
     children = replication_seeds(seed, r)
     jobs = [(spec, policy, n, horizon, sample_interval, child) for child in children]
-    workers = int(os.environ.get("LBMF_THREADS", "1"))
+    value = os.environ.get("LBMF_THREADS", "1")
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(f"LBMF_THREADS takes an integer, got {value!r}") from None
     if workers > 1 and r > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -111,6 +111,19 @@ def _arrival_split(state, n, policy, d=None, mpl=None):
     return probs
 
 
+def _stationary(q):
+    """Stationary distribution of the chain whose off-diagonal rates are
+    ``q`` (its diagonal is overwritten)."""
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    # pi Q = 0 with normalization replacing the last column
+    a = q.T.copy()
+    a[-1, :] = 1.0
+    rhs = np.zeros(len(q))
+    rhs[-1] = 1.0
+    return np.linalg.solve(a, rhs)
+
+
 def ctmc_stationary_occupancy(n, lam, mu, policy, d=None, mpl=None):
     """Exact stationary mean occupancy fractions of a finite homogeneous
     cluster, from the full generator of the count process.
@@ -137,17 +150,51 @@ def ctmc_stationary_occupancy(n, lam, mu, policy, d=None, mpl=None):
                 dst[i] -= 1
                 dst[i + 1] += 1
                 q[row][index[tuple(dst)]] += n * lam * probs[i]
-    np.fill_diagonal(q, 0.0)
-    np.fill_diagonal(q, -q.sum(axis=1))
-    # pi Q = 0 with normalization replacing the last column
-    a = q.T.copy()
-    a[-1, :] = 1.0
-    rhs = np.zeros(len(states))
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(a, rhs)
+    pi = _stationary(q)
     occ = np.zeros(b + 1)
     for s, p in zip(states, pi):
         occ += p * np.array(s) / n
+    return occ
+
+
+def labeled_ctmc_occupancy(lam, rates, policy, d=None):
+    """Exact stationary occupancy of each server in a finite cluster, from
+    the full generator over every server's own queue length.
+
+    ``rates[j]`` is server j's service rate curve indexed by queue length
+    (rates[j][0] = 0); every server has the same buffer. An arrival (rate
+    ``n * lam``) joins a shortest server among all of them (``"jsq"``), or
+    among d distinct servers drawn uniformly (``"jsqd"``); ties are split
+    evenly over the tied servers, and an arrival whose pick is full is
+    lost. Returns an (n, B + 1) array whose row j is the stationary
+    probability of server j at each length, divided by n, so summing a
+    type's rows gives its occupancy fractions.
+    """
+    n, b = len(rates), len(rates[0]) - 1
+    subsets = ([tuple(range(n))] if policy == "jsq"
+               else list(itertools.combinations(range(n), d)))
+    states = list(itertools.product(range(b + 1), repeat=n))
+    index = {s: j for j, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for s in states:
+        row = index[s]
+        for j in range(n):
+            if s[j] > 0:
+                dst = list(s)
+                dst[j] -= 1
+                q[row][index[tuple(dst)]] += rates[j][s[j]]
+        for sub in subsets:
+            m = min(s[j] for j in sub)
+            ties = [j for j in sub if s[j] == m]
+            if m < b:
+                for j in ties:
+                    dst = list(s)
+                    dst[j] += 1
+                    q[row][index[tuple(dst)]] += n * lam / len(subsets) / len(ties)
+    pi = _stationary(q)
+    occ = np.zeros((n, b + 1))
+    for s, p in zip(states, pi):
+        occ[range(n), s] += p / n
     return occ
 
 

@@ -107,6 +107,21 @@ def test_table_error_cell_with_comma_stays_one_field(tmp_path):
     assert bad and all(r[3] == "ERROR: jsqd requires d >= 1, got 0" for r in bad)
 
 
+def test_table_malformed_thread_count_names_the_variable(tmp_path, monkeypatch):
+    """A worker count that is not an integer is named in the simulated
+    cells, not passed on as int()'s own message."""
+    monkeypatch.setenv("LBMF_THREADS", "two")
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
+                     "--out", str(out), "--n", "20,inf", "--replications", "2",
+                     "--policies", "random"]) == 0
+    _, rows = read_csv(out / "table.csv")
+    sim_cells = [r[3] for r in rows if r[2] == "20"]
+    assert sim_cells and all(
+        c == "ERROR: LBMF_THREADS takes an integer, got 'two'" for c in sim_cells)
+    assert all(not r[3].startswith("ERROR") for r in rows if r[2] == "inf")
+
+
 def test_dist_outputs(tmp_path, b5_spec):
     doc = {
         "lambda": 1.25,

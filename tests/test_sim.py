@@ -9,7 +9,7 @@ import pytest
 from lbmf import sim, stationary
 from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve, ValidationError
 
-from oracles import ctmc_stationary_occupancy
+from oracles import ctmc_stationary_occupancy, labeled_ctmc_occupancy
 
 
 def small_spec(lam=1.0, mu=1.5, b=2, mpl=None):
@@ -224,6 +224,31 @@ def test_time_average_matches_exact_chain():
         assert z.max() < 4.0, (policy.label(), mean, exact)
 
 
+def test_per_type_time_average_matches_labeled_chain():
+    """Which server wins a tie is seen only per type: two slow servers (0, 1)
+    and two fast ones (2, 3), buffer 2, against the exact chain over every
+    server's length with ties split evenly. A pick that favoured low server
+    indices would load the slow type and fail this."""
+    spec = ClusterSpec(lam=1.0, types=(
+        ServerType(0.5, ServiceRateCurve.from_mu([1.0, 1.0])),
+        ServerType(0.5, ServiceRateCurve.from_mu([3.0, 3.0]))))
+    assert sim.place_servers(spec, 4) == [2, 2]
+    rates = [t.curve.rates for t in spec.types for _ in range(2)]
+    for policy in (Policy("jsqd", d=2), Policy("jsqd", d=3), Policy("jsq")):
+        occ = labeled_ctmc_occupancy(spec.lam, rates, policy.kind, d=policy.d)
+        exact = np.concatenate((occ[:2].sum(axis=0), occ[2:].sum(axis=0)))
+        reps = []
+        for k in range(20):
+            res = sim.run(spec, policy, n=4, horizon=1500, seed=(19, k),
+                          sample_interval=2.0)
+            reps.append(np.concatenate([p[150:].mean(axis=0) for p in res.trajectory.parts]))
+        reps = np.array(reps)
+        mean = reps.mean(axis=0)
+        se = reps.std(axis=0, ddof=1) / np.sqrt(len(reps))
+        z = np.abs(mean - exact) / np.maximum(se, 1e-9)
+        assert z.max() < 4.0, (policy.label(), mean, exact)
+
+
 @pytest.mark.slow
 def test_random_policy_matches_closed_form(hom_spec):
     """Independent-queue closed form as the simulator's occupancy oracle."""
@@ -293,47 +318,47 @@ def test_every_policy_sees_the_same_tick_process(het_spec):
 GOLDEN_DIGESTS = {
     ("hom_spec", 3, 50, None): {
         "random": "b4a138ea68fa2e02", "jiq": "2ecd447174851036",
-        "jsqd2": "08ed34f2d910b409", "jsqd5": "4a8518f0d7123d00",
+        "jsqd2": "088e8a6badf7d05b", "jsqd5": "af03598a0673e4f9",
         "jsq": "a325155d26c269db", "jbt": "953243f8db11d7eb",
-        "jsq@0.5": "a93f827cb7e97608", "jsqd2@0.7": "8c04714588167c62",
+        "jsq@0.5": "a93f827cb7e97608", "jsqd2@0.7": "5fdd0f8e2ddb218c",
         "jsqd200": "a325155d26c269db",
     },
     ("hom_spec", 11, 50, None): {
         "random": "8e7e60b99f34eacd", "jiq": "eaa9f9d9fc01d64f",
-        "jsqd2": "a6e848555f945772", "jsqd5": "fbe9d466d0447388",
+        "jsqd2": "b15ce765cdcc4a16", "jsqd5": "968774765c4ed323",
         "jsq": "dc777731dc9e8f0b", "jbt": "6a14b4ef34a93e8b",
-        "jsq@0.5": "efe8aee85dcdeab0", "jsqd2@0.7": "4e0efd3de87f16b2",
+        "jsq@0.5": "efe8aee85dcdeab0", "jsqd2@0.7": "1af552f562b07ba9",
         "jsqd200": "dc777731dc9e8f0b",
     },
     ("het_spec", 3, 50, None): {
         "random": "e4ea736a4c397bc6", "jiq": "5296ed930f568a49",
-        "jsqd2": "a482ddbadbd66f61", "jsqd5": "f248a45fd4c056d3",
+        "jsqd2": "16306eb110d1e33f", "jsqd5": "c6a0f226ca76030d",
         "jsq": "4131f4af10b77154", "jbt": "f4938dd45936f0c9",
-        "jsq@0.5": "1fbbf4b54eac55f1", "jsqd2@0.7": "2363cd3416e237c8",
+        "jsq@0.5": "1fbbf4b54eac55f1", "jsqd2@0.7": "0b50a03803690ed7",
         "jsqd200": "4131f4af10b77154",
     },
     ("het_spec", 11, 50, None): {
         "random": "f7d7d0b776444f6c", "jiq": "7b3ef3a6d4c3fe76",
-        "jsqd2": "bb075765679fef94", "jsqd5": "1e0b143eab7e6614",
+        "jsqd2": "3cef7ced4aa46a77", "jsqd5": "019bb31d1a178a2c",
         "jsq": "144ee08eb8458d4c", "jbt": "d2a1506582d526f9",
-        "jsq@0.5": "b4abc462895b344b", "jsqd2@0.7": "bebf0a7735da496d",
+        "jsq@0.5": "b4abc462895b344b", "jsqd2@0.7": "022abf202a9b0c1b",
         "jsqd200": "144ee08eb8458d4c",
     },
     # unequal buffers, 3 and 7: the types' sample rows differ in length
     ("b37_spec", 3, 50, None): {
         "random": "ca048ad87d288052", "jiq": "cd49cc7eb8a8afa5",
-        "jsqd2": "f2b80d02e965f5d0", "jsqd5": "8c8871a09514f2e2",
+        "jsqd2": "bc13411e152023cf", "jsqd5": "edeb7f897cfcd264",
         "jsq": "bcbbefda9ce9876e", "jbt": "a71dc53d1062b11b",
-        "jsq@0.5": "4e711442bd28f764", "jsqd2@0.7": "3f3cd9902ab8d62e",
+        "jsq@0.5": "4e711442bd28f764", "jsqd2@0.7": "d2cbde4eec798387",
         "jsqd200": "bcbbefda9ce9876e",
     },
     # above the smaller buffer's capacity, so JSQ loses jobs; the horizon
     # falls between sample ticks, so records after the last tick count
     ("b37_spec", 5, 50.3, 1.7): {
         "random": "2273fddfa78100be", "jiq": "8fcd4d84beb53b02",
-        "jsqd2": "fbdc27399f40c492", "jsqd5": "890dae2a3c551817",
+        "jsqd2": "0bb67a002f50b156", "jsqd5": "c0278d9d348c6f5c",
         "jsq": "4b2fcc0666aa2e8c", "jbt": "be5cd0193bbf6c40",
-        "jsq@0.5": "c72a76a13d4d766c", "jsqd2@0.7": "37f3fc1393b9999c",
+        "jsq@0.5": "c72a76a13d4d766c", "jsqd2@0.7": "ad15fc6b3236d0bc",
         "jsqd200": "4b2fcc0666aa2e8c",
     },
 }
