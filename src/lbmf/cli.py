@@ -150,9 +150,11 @@ def _steady_window(res, horizon):
 
 
 def _sim_cell(spec, policy, n, run, replications):
+    # the cell reads records and counters only: sampling at 0 and the
+    # horizon skips the trajectory's sample ticks and changes no record
     results = sim.replicate(spec, policy, n=n, horizon=run.horizon,
                             seed=run.seed, r=replications,
-                            sample_interval=run.sample_interval)
+                            sample_interval=run.horizon)
     overall, per_type = [], []
     for res in results:
         soj, types = _steady_window(res, run.horizon)
@@ -178,6 +180,8 @@ def cmd_table(args) -> int:
             raise ValueError
     except ValueError:
         raise ConfigError(f"--n takes sizes >= 1 or 'inf', got {args.n!r}") from None
+    if any(n is not None for n in ns):
+        sim.workers()  # a malformed LBMF_THREADS stops the run, not each cell
     out = _outdir(args)
     rows = []
     for pol in policies:
@@ -221,8 +225,9 @@ def cmd_dist(args) -> int:
     grid = np.linspace(t_max / args.points, t_max, args.points)
     dens = dist.density(grid)
     n = run.n_servers or 1000
+    # the histogram reads records only, as in _sim_cell: no sample ticks
     res = sim.run(spec, policy, n=n, horizon=run.horizon, seed=run.seed,
-                  sample_interval=run.sample_interval)
+                  sample_interval=run.horizon)
     soj, _ = _steady_window(res, run.horizon)
 
     # every step that can fail has run, so a failed run leaves no output behind

@@ -25,10 +25,13 @@ import numpy as np
 
 # Contour nodes of talbot, and transform evaluations 2n + 1 per point of euler.
 TALBOT_NODES, EULER_TERMS = 64, 37
-# Time points per transform call: 512 Talbot nodes. Blocks of 16 raised the
-# peak memory of a density followed by a simulation above that of the
-# one-point-at-a-time loop; blocks of 8 did not.
-BLOCK = 8
+# Time points per transform call: 2048 Talbot nodes. Six 300-point densities
+# on configs/small_buffer.json, Euler check included, took 56 ms at blocks of
+# 8, 36-41 at 16, 29-33 at 32, 32-34 at 64 and 43 at 300 (best of 15 rounds,
+# twice, on one core of a 2-core Xeon VM). At 32 the peak memory of a density
+# followed by a simulation (perfbench dist-b5 peak_rss_mb) read 43.62 MiB,
+# against 43.73 at blocks of 8 (medians of 10 runs each).
+BLOCK = 32
 
 
 def talbot(transform, ts) -> np.ndarray:

@@ -107,19 +107,19 @@ def test_table_error_cell_with_comma_stays_one_field(tmp_path):
     assert bad and all(r[3] == "ERROR: jsqd requires d >= 1, got 0" for r in bad)
 
 
-def test_table_malformed_thread_count_names_the_variable(tmp_path, monkeypatch):
-    """A worker count that is not an integer is named in the simulated
-    cells, not passed on as int()'s own message."""
+def test_table_malformed_thread_count_names_the_variable(tmp_path, monkeypatch, capsys):
+    """A worker count that is not an integer stops a table with simulated
+    cells before it writes anything, naming the variable; a table of
+    limits alone does not read it."""
     monkeypatch.setenv("LBMF_THREADS", "two")
     out = tmp_path / "out"
     assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
                      "--out", str(out), "--n", "20,inf", "--replications", "2",
-                     "--policies", "random"]) == 0
-    _, rows = read_csv(out / "table.csv")
-    sim_cells = [r[3] for r in rows if r[2] == "20"]
-    assert sim_cells and all(
-        c == "ERROR: LBMF_THREADS takes an integer, got 'two'" for c in sim_cells)
-    assert all(not r[3].startswith("ERROR") for r in rows if r[2] == "inf")
+                     "--policies", "random"]) == 1
+    assert capsys.readouterr().err == "error: LBMF_THREADS takes an integer, got 'two'\n"
+    assert not out.exists()
+    assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
+                     "--out", str(out), "--n", "inf", "--policies", "random"]) == 0
 
 
 def test_dist_outputs(tmp_path, b5_spec):
@@ -335,8 +335,9 @@ def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
 
 
 # SHA-256 (first 16 hex digits) of CLI outputs on the shipped configs. The
-# jsqd table cells are left out: their Newton solve goes through LAPACK,
-# whose last bits may differ between builds.
+# jsqd limit cells are left out: their Newton solve goes through LAPACK,
+# whose last bits may differ between builds. Simulated cells make no LAPACK
+# call, so the simulated table keeps jsqd:2.
 GOLDEN_CLI_DIGESTS = {
     "transient": {
         "random": "cfea3583d3c19a6c", "jiq": "3adfeca718b1483b",
@@ -344,6 +345,7 @@ GOLDEN_CLI_DIGESTS = {
         "jsq": "36f85529fb469fa9", "jbt": "caea0153e0c47782",
     },
     "table": "43b424526358b692",
+    "table-sim": "88f1f55699091fa4",
 }
 
 
@@ -353,7 +355,8 @@ def _digest(path):
 
 def test_cli_outputs_match_recorded_digests(tmp_path):
     """``transient`` on the heterogeneous cluster to horizon 3, per policy,
-    and ``table --n inf`` on the homogeneous one are pinned byte for byte."""
+    and ``table`` on the homogeneous one, at ``--n inf`` and simulated at
+    ``--n 200``, are pinned byte for byte."""
     doc = json.loads((CONFIGS / "heterogeneous.json").read_text())
     doc["run"]["horizon"] = 3.0
     cfg = tmp_path / "het.json"
@@ -369,6 +372,11 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
                      "--out", str(out), "--n", "inf",
                      "--policies", "random,jiq,jsq,jbt"]) == 0
     got["table"] = _digest(out / "table.csv")
+    out = tmp_path / "table-sim"
+    assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
+                     "--out", str(out), "--n", "200", "--replications", "2",
+                     "--policies", "random,jiq,jsqd:2,jsq,jbt"]) == 0
+    got["table-sim"] = _digest(out / "table.csv")
     assert got == GOLDEN_CLI_DIGESTS
 
 

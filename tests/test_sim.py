@@ -388,3 +388,22 @@ def test_run_is_bit_identical_to_recorded_draws(request, case):
         assert res.arrivals + res.completions > sim._BLOCK
         got[name] = _draw_digest(res)
     assert got == GOLDEN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_sample_interval_changes_no_record(het_spec, seed):
+    """Sample ticks only split the event loop into segments and draw
+    nothing, so the records and counters are bit-identical whether a run
+    samples every 0.3 or 1.0 time units or only at 0 and the horizon: the
+    table and dist commands sample at the horizon alone."""
+    horizon = 50
+    for name, policy in GOLDEN_POLICIES.items():
+        runs = [sim.run(het_spec, policy, n=200, horizon=horizon, seed=seed,
+                        sample_interval=interval) for interval in (1.0, 0.3, horizon)]
+        assert [len(r.trajectory.times) for r in runs] == [51, 167, 2]
+        for res in runs[1:]:
+            for field in ("arrival_time", "departure_time", "server_type", "length_seen"):
+                got, want = getattr(res, field), getattr(runs[0], field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, field)
+            for field in ("arrivals", "losses", "completions", "in_flight", "null_events"):
+                assert getattr(res, field) == getattr(runs[0], field), (name, field)

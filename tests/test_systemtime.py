@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lbmf import stationary, systemtime
+from lbmf import ilt, stationary, systemtime
 from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve, ValidationError
 
 from conftest import ALL_POLICIES
@@ -276,6 +276,23 @@ def test_density_inversion_flags_clean(b5_spec):
     assert not res.flagged.any()
     assert res.density.min() > -1e-6
     assert res.mass() == pytest.approx(1.0 - rep.loss_prob, abs=1e-3)
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label())
+def test_inversion_is_bit_identical_for_every_block_size(hom_spec, het_spec, policy,
+                                                         monkeypatch):
+    """Talbot and Euler sum each time point's nodes on their own, in the same
+    order, so the number of time points per transform call moves no bit of
+    the density, the flags or the checked gaps."""
+    grid = np.linspace(0.05, 30, 100)
+    for spec in (hom_spec, het_spec):
+        laplace = systemtime.transform(spec, policy, stationary.solve(spec, policy))
+        got = []
+        for block in (1, 8, 32, len(grid)):
+            monkeypatch.setattr(ilt, "BLOCK", block)
+            res = systemtime.invert(laplace, grid)
+            got.append((res.density.tobytes(), res.flagged.tobytes(), res.checked))
+        assert all(g == got[0] for g in got[1:])
 
 
 def test_density_matches_mpmath_oracle(b5_spec):
