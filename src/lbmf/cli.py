@@ -135,12 +135,17 @@ def _analytic_cell(spec, policy):
     return overall, per_type, report.loss_prob
 
 
+def _window(horizon):
+    """The steady-state window [horizon / 2, horizon - margin]; the margin
+    leaves the jobs that arrived in it time to depart before the run ends."""
+    return horizon / 2, horizon - min(50.0, horizon / 4)
+
+
 def _steady_window(res, horizon):
     """Sojourn times and server types of the jobs that arrived in the
-    steady-state window [horizon / 2, horizon - margin]; the margin leaves
-    the jobs that arrived in the window time to depart before the run ends.
-    An empty window raises: its mean and histogram would be NaN."""
-    lo, hi = horizon / 2, horizon - min(50.0, horizon / 4)
+    steady-state window ``_window(horizon)``. An empty window raises: its
+    mean and histogram would be NaN."""
+    lo, hi = _window(horizon)
     mask = (res.arrival_time >= lo) & (res.arrival_time <= hi)
     if not mask.any():
         raise ConfigError(f"no job both arrived in the steady window from t = {lo:g} "
@@ -150,11 +155,12 @@ def _steady_window(res, horizon):
 
 
 def _sim_cell(spec, policy, n, run, replications):
-    # the cell reads records and counters only: sampling at 0 and the
-    # horizon skips the trajectory's sample ticks and changes no record
+    # the cell reads the window's records and the counters only: sampling
+    # at 0 and the horizon skips the trajectory's sample ticks, and the
+    # window skips the warm-up's records; neither changes a record kept
     results = sim.replicate(spec, policy, n=n, horizon=run.horizon,
                             seed=run.seed, r=replications,
-                            sample_interval=run.horizon)
+                            sample_interval=run.horizon, window=_window(run.horizon))
     overall, per_type = [], []
     for res in results:
         soj, types = _steady_window(res, run.horizon)
@@ -225,9 +231,9 @@ def cmd_dist(args) -> int:
     grid = np.linspace(t_max / args.points, t_max, args.points)
     dens = dist.density(grid)
     n = run.n_servers or 1000
-    # the histogram reads records only, as in _sim_cell: no sample ticks
+    # the histogram reads the window's records only, as in _sim_cell
     res = sim.run(spec, policy, n=n, horizon=run.horizon, seed=run.seed,
-                  sample_interval=run.horizon)
+                  sample_interval=run.horizon, window=_window(run.horizon))
     soj, _ = _steady_window(res, run.horizon)
 
     # every step that can fail has run, so a failed run leaves no output behind

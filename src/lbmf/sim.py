@@ -57,15 +57,30 @@ comparison. At homogeneous lam = 0.3 the six policies' runs take
 
 The loop keeps an event log of plain lists, indexed by the tick's place in
 its block: a routed arrival appends its server, every arrival the length it
-saw (a full buffer means a loss) and a completion its tick index. At the end
-of each block ``_match`` turns the log into records (arrival, departure,
-server type, length seen) in numpy, pairing each completion with the oldest
-job waiting at its server; the jobs still waiting carry over. The records
-are kept as one array per field and block and joined once at the end, so
-Python objects hold one block's log at most and the peak memory stays near
-the records' own size. Arrivals and losses are counted per block;
-completions are the records, and null events are the ticks before the
-horizon less arrivals and completions.
+saw and a completion its tick index; the loop counts the losses (arrivals
+that saw a full buffer) itself. At the end of a block ``_match`` turns the
+log into records (arrival, departure, server type, length seen) in numpy,
+pairing each completion with the oldest job waiting at its server; the
+jobs still waiting carry over. The records are kept as one array per field
+and block and joined once at the end, so Python objects hold one block's
+log at most and the peak memory stays near the records' own size. Arrivals
+and completions are counted from each block's log, and null events are the
+ticks before the horizon less arrivals and completions.
+
+A run with ``window=(lo, hi)`` records only the jobs that arrived at
+lo <= t <= hi, as the ``table`` and ``dist`` commands ask for their steady
+window (warm-up deletion: Welch 1983). A block that ends before lo clears
+its log unmatched. The block that reaches lo starts the waiting jobs from
+the queue lengths, one placeholder per queued job that no record keeps.
+Arrivals after hi join no queue, so a completion at a server with none of
+its jobs left is one of theirs and pairs with nothing, and matching stops
+with the first block that starts past hi while no window job waits. The
+records are the full run's in the window, in the same order, and every
+counter is the full run's. On the homogeneous cluster at N = 1000 and
+horizon 100, with the ``table`` window [50, 75], a run matches 13.5 of its
+34 blocks, at about 1 ms a block against about 6 ms for the loop, and
+takes 0.85 times as long as one that records every job (Python 3.11, one
+core of a 2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -100,6 +115,7 @@ class SimResult:
     n: int
     horizon: float
     sample_interval: float
+    window: tuple | None  # (lo, hi): records only for jobs arriving in it; None: every job
     null_events: int  # clock ticks that fired nothing: a slot above its server's rate
     wall_time: float  # seconds spent in run
 
@@ -130,27 +146,36 @@ def _sample(traj, rows, qlen, first):
         part[rows] = np.bincount(lengths[first[k]:first[k + 1]], minlength=part.shape[1])
 
 
-def _match(tick_t, tick_j, n, log, wait, stores, stype, sbuf):
-    """Turn one block's event log into records, FIFO per server.
+def _match(tick_t, tick_j, n, log, wait, stores, stype, sbuf, lo, hi):
+    """Turn one block's event log into the records of the jobs that arrived
+    in [lo, hi], FIFO per server.
 
     ``tick_t`` and ``tick_j`` end at the block's last tick before the
     horizon. ``log`` holds, in tick order, the routed arrivals' servers,
     every arrival's length seen and the completions' tick indices; an
     arrival that saw its server's buffer ``sbuf`` full was lost. ``wait``
     holds the jobs waiting from earlier blocks as (arrival time, server,
-    length seen), in arrival order. Each completion takes the oldest waiting
-    job at its server, and the records are appended to ``stores`` in
-    completion order. Returns the jobs still waiting, the block's arrivals
-    and its losses.
+    length seen), in arrival order. The block's admitted arrivals up to
+    ``hi`` join them, and each completion takes the oldest waiting job at
+    its server while one is left: the jobs behind them arrived after ``hi``.
+    The records of the jobs taken that arrived from ``lo`` on are appended
+    to ``stores`` in completion order. An infinite ``lo`` or ``hi`` costs no
+    test: the caller passes one where no job on that side of the window can
+    arrive or leave in the block. Returns the jobs still waiting and how
+    many of them arrived before ``lo``.
     """
     picks, seen, done = log
     arr = np.flatnonzero(tick_j < 0)
     srv = tick_j[arr] + n
     srv[srv < 0] = np.fromiter(picks, np.int64, len(picks))  # routed: slot -n - 1
     saw = np.fromiter(seen, np.int64, len(seen))
-    keep = np.flatnonzero(saw < sbuf[srv])
+    arr_t = tick_t[arr]
+    admit = saw < sbuf[srv]
+    if hi < np.inf:
+        admit &= arr_t <= hi
+    keep = np.flatnonzero(admit)
     w_t, w_s, w_q = wait
-    job_t = np.concatenate((w_t, tick_t[arr[keep]]))
+    job_t = np.concatenate((w_t, arr_t[keep]))
     job_s = np.concatenate((w_s, srv[keep].astype(w_s.dtype)))
     job_q = np.concatenate((w_q, saw[keep]))
     dep = np.fromiter(done, np.intp, len(done))
@@ -162,26 +187,44 @@ def _match(tick_t, tick_j, n, log, wait, stores, stype, sbuf):
     # completions do along the sorted completions
     by_s = np.argsort(job_s, kind="stable")
     dep_by_s = np.argsort(dep_s, kind="stable")
-    surplus = np.bincount(job_s, minlength=n) - np.bincount(dep_s, minlength=n)
+    jobs = np.bincount(job_s, minlength=n)
+    surplus = jobs - np.bincount(dep_s, minlength=n)
     shift = np.cumsum(surplus) - surplus
-    take = np.empty_like(dep)
-    take[dep_by_s] = by_s[np.arange(len(dep)) + shift[dep_s[dep_by_s]]]
-    for store, col in zip(stores, (job_t[take], tick_t[dep], stype[dep_s], job_q[take])):
-        store.append(col)
+    at = np.empty_like(dep)  # each completion's job's place in by_s
+    at[dep_by_s] = np.arange(len(dep)) + shift[dep_s[dep_by_s]]
+    if hi < np.inf:
+        # completions at a server past its last job are those of jobs after
+        # hi; cumsum(jobs) is one past each server's last job in by_s
+        paired = np.flatnonzero(at < np.cumsum(jobs)[dep_s])
+        at, dep = at[paired], dep[paired]
+    take = by_s[at]
     left = np.ones(len(job_t), dtype=bool)
     left[take] = False
     left = np.flatnonzero(left)
-    for records in log:
-        records.clear()
-    return (job_t[left], job_s[left], job_q[left]), len(arr), len(arr) - len(keep)
+    got = job_t[take]
+    if lo > -np.inf:
+        rec = np.flatnonzero(got >= lo)
+        got, take, dep = got[rec], take[rec], dep[rec]
+    for store, col in zip(stores, (got, tick_t[dep], stype[tick_j[dep]], job_q[take])):
+        store.append(col)
+    w_t = job_t[left]
+    early = int(np.count_nonzero(w_t < lo)) if lo > -np.inf else 0
+    return (w_t, job_s[left], job_q[left]), early
 
 
 def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
-        seed=None, sample_interval: float = 1.0) -> SimResult:
-    """Simulate ``n`` servers from empty up to ``horizon``."""
+        seed=None, sample_interval: float = 1.0, window=None) -> SimResult:
+    """Simulate ``n`` servers from empty up to ``horizon``.
+
+    ``window=(lo, hi)`` keeps the records of the jobs that arrived at times
+    lo <= t <= hi only; None keeps every job's.
+    """
     wall0 = perf_counter()
-    ValidationError.check(policy_violations(spec, policy) + serving_violations(spec)
-                          + run_violations(horizon=horizon, sample_interval=sample_interval))
+    lo, hi = (-np.inf, np.inf) if window is None else window
+    ValidationError.check(
+        policy_violations(spec, policy) + serving_violations(spec)
+        + run_violations(horizon=horizon, sample_interval=sample_interval)
+        + ([] if lo <= hi else [f"window must run from lo to hi >= lo, got {window!r}"]))
     rng = np.random.default_rng(seed)
 
     types = range(spec.k)
@@ -235,14 +278,14 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     low = 0  # no pool below it holds a server
 
     # the event log, as lists: routed arrivals' servers, every arrival's
-    # length seen and the completions' tick indices; each block's log is
-    # matched into one array per record field
+    # length seen and the completions' tick indices; a block's log is
+    # matched into one array per record field if it can hold a window job
     picks, seen, done = log = ([], [], [])
-    stores = ([], [], [], [])
+    stores = tuple([np.empty(0, dtype=dt)] for dt in (float, float, np.int64, np.int64))
     stype_np, sbuf_np = np.array(stype, dtype=np.int64), np.array(sbuf)
-    wait = (np.empty(0), np.empty(0, dtype=np.min_scalar_type(n - 1)),
-            np.empty(0, dtype=np.int64))
-    arrivals = losses = ticks = 0
+    wait = None  # the jobs waiting, from the first block matched on
+    early = 0  # how many of them arrived before lo
+    arrivals = losses = completions = ticks = 0
 
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
@@ -260,6 +303,14 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         tick_o = np.minimum(u - r, _BELOW_ONE)
         del x, g, u, r  # the loop holds three block arrays, not seven
         end = int(tick_t.searchsorted(horizon))
+        if wait is None and lo <= t_last:
+            # matching starts with the block that reaches lo, and the jobs
+            # queued then arrived before lo: placeholders, in no record, that
+            # the first completions at their servers take
+            early = sum(qlen)
+            servers = np.arange(n, dtype=np.min_scalar_type(n - 1))
+            wait = (np.full(early, -np.inf), np.repeat(servers, qlen),
+                    np.zeros(early, dtype=np.int64))
         cuts = tick_t.searchsorted(times[m:times.searchsorted(t_last, "right")])
         a = 0
         # memoryviews make one Python number per tick as it is read; t is
@@ -301,7 +352,8 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                     i = qlen[j]
                     seen.append(i)
                     if i >= sbuf[j]:
-                        continue  # lost: its server's buffer is full
+                        losses += 1  # its server's buffer is full
+                        continue
                     i_new = i + 1
                 qlen[j] = i_new
                 if skey is not None:
@@ -327,11 +379,17 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 _sample(traj, m, qlen, first)
                 m += 1
             a = b
-        wait, came, lost = _match(tick_t[:end], tick_j[:end], n, log, wait, stores,
-                                  stype_np, sbuf_np)
-        arrivals += came
-        losses += lost
+        # match until a block starts past hi with no window job waiting,
+        # leaving out an edge that no job in the block can cross
+        if wait is not None and (tick_t[0] <= hi or len(wait[0]) > early):
+            wait, early = _match(tick_t[:end], tick_j[:end], n, log, wait, stores,
+                                 stype_np, sbuf_np, lo if early or tick_t[0] < lo else -np.inf,
+                                 hi if t_last > hi else np.inf)
+        arrivals += len(seen)
+        completions += len(done)
         ticks += end
+        for entries in log:
+            entries.clear()
         if end < _BLOCK:
             break
     # the rows left, up to 1e-9 intervals past the horizon, hold its state
@@ -353,12 +411,13 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         length_seen=seen_s,
         arrivals=arrivals,
         losses=losses,
-        completions=len(arr_s),
+        completions=completions,
         in_flight=in_flight,
         n=n,
         horizon=horizon,
         sample_interval=sample_interval,
-        null_events=ticks - arrivals - len(arr_s),
+        window=window,
+        null_events=ticks - arrivals - completions,
         wall_time=perf_counter() - wall0,
     )
 
@@ -368,8 +427,9 @@ def replication_seeds(seed, r: int):
 
 
 def _replicate_one(args):
-    spec, policy, n, horizon, sample_interval, child = args
-    return run(spec, policy, n, horizon, seed=child, sample_interval=sample_interval)
+    spec, policy, n, horizon, sample_interval, window, child = args
+    return run(spec, policy, n, horizon, seed=child, sample_interval=sample_interval,
+               window=window)
 
 
 def workers() -> int:
@@ -383,15 +443,18 @@ def workers() -> int:
 
 
 def replicate(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
-              seed, r: int, sample_interval: float = 1.0):
-    """``r`` independent runs with spawned child seeds, in index order.
+              seed, r: int, sample_interval: float = 1.0, window=None):
+    """``r`` independent runs with spawned child seeds, in index order, each
+    keeping the records of the jobs that arrived in ``window`` (every job's
+    if None), as ``run`` does.
 
-    ``workers()`` above 1 runs them in that many separate processes at most.
+    ``workers()`` above 1 runs them in that many separate processes at most;
+    the records do not depend on how many.
     """
     if r < 1:
         raise ValueError("replication count must be >= 1")
     children = replication_seeds(seed, r)
-    jobs = [(spec, policy, n, horizon, sample_interval, child) for child in children]
+    jobs = [(spec, policy, n, horizon, sample_interval, window, child) for child in children]
     cap = workers()
     if cap > 1 and r > 1:
         from concurrent.futures import ProcessPoolExecutor

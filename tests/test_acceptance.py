@@ -78,15 +78,17 @@ def test_c01_analytic_mean_times(hom_spec):
 def test_c02_simulated_mean_times(hom_spec):
     t0 = time.monotonic()
     horizon, reps = 260.0, 8
+    window = (horizon / 2, horizon - 50)
     fails = []
     details = []
     for name, policy in POLICIES.items():
         pid = POLICY_IDS[name]
         results = sim.replicate(hom_spec, policy, n=1000, horizon=horizon,
-                                seed=(2026, pid), r=reps, sample_interval=10.0)
+                                seed=(2026, pid), r=reps, sample_interval=10.0,
+                                window=window)
         sojourns = []
         for r in results:
-            mask = (r.arrival_time >= horizon / 2) & (r.arrival_time <= horizon - 50)
+            mask = (r.arrival_time >= window[0]) & (r.arrival_time <= window[1])
             sojourns.append(r.departure_time[mask] - r.arrival_time[mask])
         mean = float(np.concatenate(sojourns).mean())
         target = SIM_TARGETS_N1000[name]
@@ -244,6 +246,7 @@ def test_c09_fluctuation_scaling(hom_spec):
 def test_c10_sojourn_distribution_ks(b5_spec):
     t0 = time.monotonic()
     horizon = 120.0
+    window = (horizon / 2, horizon - 20)
     grid = np.linspace(0.01, 40, 2000)
     out = {}
     for name, policy in POLICIES.items():
@@ -255,8 +258,8 @@ def test_c10_sojourn_distribution_ks(b5_spec):
             (dens.density[1:] + dens.density[:-1]) / 2 * np.diff(grid))))
         cdf += dens.density[0] * grid[0] / 2
         r = sim.run(b5_spec, policy, n=1000, horizon=horizon, seed=(777, pid),
-                    sample_interval=10.0)
-        mask = (r.arrival_time >= horizon / 2) & (r.arrival_time <= horizon - 20)
+                    sample_interval=10.0, window=window)
+        mask = (r.arrival_time >= window[0]) & (r.arrival_time <= window[1])
         soj = r.departure_time[mask] - r.arrival_time[mask]
         out[name] = ks_distance(soj, grid, cdf)
     budget = {"random": 0.02, "jiq": 0.02, "jsq": 0.02, "jbt": 0.02,

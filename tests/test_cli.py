@@ -346,6 +346,10 @@ GOLDEN_CLI_DIGESTS = {
     },
     "table": "43b424526358b692",
     "table-sim": "88f1f55699091fa4",
+    "dist": {
+        "random": "8092216a2d1e6fa9", "jiq": "e73b9b5a819755e3",
+        "jsq": "3747b58bbc71557b", "jbt": "9ec07f1f818923fb",
+    },
 }
 
 
@@ -355,8 +359,11 @@ def _digest(path):
 
 def test_cli_outputs_match_recorded_digests(tmp_path):
     """``transient`` on the heterogeneous cluster to horizon 3, per policy,
-    and ``table`` on the homogeneous one, at ``--n inf`` and simulated at
-    ``--n 200``, are pinned byte for byte."""
+    ``table`` on the homogeneous one, at ``--n inf`` and simulated at
+    ``--n 200``, and the simulated histogram of ``dist`` on the buffer-5
+    cluster to horizon 40, per policy, are pinned byte for byte. The
+    histogram's bins come from ``--t-max``, not from the solved mean, so no
+    LAPACK call moves them; ``density.csv`` is not pinned, for that reason."""
     doc = json.loads((CONFIGS / "heterogeneous.json").read_text())
     doc["run"]["horizon"] = 3.0
     cfg = tmp_path / "het.json"
@@ -377,6 +384,16 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
                      "--out", str(out), "--n", "200", "--replications", "2",
                      "--policies", "random,jiq,jsqd:2,jsq,jbt"]) == 0
     got["table-sim"] = _digest(out / "table.csv")
+    doc = json.loads((CONFIGS / "small_buffer.json").read_text())
+    doc["run"]["horizon"] = 40.0
+    cfg = tmp_path / "b5.json"
+    cfg.write_text(json.dumps(doc))
+    got["dist"] = {}
+    for policy in GOLDEN_CLI_DIGESTS["dist"]:
+        out = tmp_path / f"dist-{policy}"
+        assert cli.main(["dist", "--config", str(cfg), "--out", str(out), "--policy", policy,
+                         "--points", "50", "--t-max", "12"]) == 0
+        got["dist"][policy] = _digest(out / "hist.csv")
     assert got == GOLDEN_CLI_DIGESTS
 
 

@@ -407,3 +407,69 @@ def test_sample_interval_changes_no_record(het_spec, seed):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, field)
             for field in ("arrivals", "losses", "completions", "in_flight", "null_events"):
                 assert getattr(res, field) == getattr(runs[0], field), (name, field)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_window_keeps_the_full_runs_records_in_it(het_spec, seed):
+    """A run under ``window=(lo, hi)`` records exactly the full run's jobs
+    that arrived at lo <= t <= hi, in the same order, and counts every
+    event as the full run does: windows from 0, from and to the middle of a
+    tick block (n = 200 ticks 8192 times in about 12 time units), from one
+    arrival to another, and one that ends after the last departure."""
+    horizon = 50
+    fields = ("arrival_time", "departure_time", "server_type", "length_seen")
+    for name, policy in GOLDEN_POLICIES.items():
+        full = sim.run(het_spec, policy, n=200, horizon=horizon, seed=seed)
+        assert full.window is None
+        arr = np.sort(full.arrival_time)
+        windows = [(0.0, 20.5), (17.3, 31.9), (33.3, 80.0),
+                   (float(arr[len(arr) // 3]), float(arr[2 * len(arr) // 3]))]
+        for window in windows:
+            res = sim.run(het_spec, policy, n=200, horizon=horizon, seed=seed,
+                          window=window)
+            assert res.window == window
+            lo, hi = window
+            mask = (full.arrival_time >= lo) & (full.arrival_time <= hi)
+            assert mask.any() and not mask.all()
+            for field in fields:
+                got, want = getattr(res, field), getattr(full, field)[mask]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                    (name, window, field)
+            for field in ("arrivals", "losses", "completions", "in_flight", "null_events"):
+                assert getattr(res, field) == getattr(full, field), (name, window, field)
+            for got, want in zip(res.trajectory.parts, full.trajectory.parts):
+                assert got.tobytes() == want.tobytes(), (name, window)
+
+
+def test_replicate_passes_the_window_to_every_worker(het_spec, monkeypatch):
+    """Replications under a window keep the same records in one process as
+    in two."""
+    window = (17.3, 31.9)
+    got = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LBMF_THREADS", threads)
+        got.append(sim.replicate(het_spec, Policy("jsqd", d=2), n=200, horizon=50,
+                                 seed=7, r=2, sample_interval=50, window=window))
+    for a, b in zip(*got):
+        assert a.window == b.window == window
+        assert a.arrival_time.min() >= window[0] and a.arrival_time.max() <= window[1]
+        for field in ("arrival_time", "departure_time", "server_type", "length_seen"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+@pytest.mark.parametrize("window", [(2.0, 1.0), (np.nan, 1.0)], ids=str)
+def test_run_refuses_a_window_that_ends_before_it_starts(hom_spec, window):
+    with pytest.raises(ValidationError, match="^window must run from lo to hi >= lo"):
+        sim.run(hom_spec, Policy("random"), n=10, horizon=1.0, seed=0, window=window)
+
+
+def test_window_past_the_last_tick_records_nothing(hom_spec):
+    """A window that no tick reaches matches no block: no records, of the
+    full run's types, and the full run's counters."""
+    full = sim.run(hom_spec, Policy("jsq"), n=50, horizon=5.0, seed=1)
+    res = sim.run(hom_spec, Policy("jsq"), n=50, horizon=5.0, seed=1, window=(1e3, 2e3))
+    for field in ("arrival_time", "departure_time", "server_type", "length_seen"):
+        got, want = getattr(res, field), getattr(full, field)
+        assert len(got) == 0 and got.dtype == want.dtype, field
+    for field in ("arrivals", "losses", "completions", "in_flight", "null_events"):
+        assert getattr(res, field) == getattr(full, field), field
