@@ -132,7 +132,7 @@ def _analytic_cell(spec, policy):
     report = stationary.solve(spec, policy)
     overall, _ = systemtime.mean_sojourn(spec, policy, report)
     per_type, _ = stationary.little(spec, policy, report)
-    return overall, per_type, report.loss_prob
+    return (overall, None), [(h, None) for h in per_type], report.loss_prob
 
 
 def _window(horizon):
@@ -141,17 +141,16 @@ def _window(horizon):
     return horizon / 2, horizon - min(50.0, horizon / 4)
 
 
-def _steady_window(res, horizon):
-    """Sojourn times and server types of the jobs that arrived in the
-    steady-state window ``_window(horizon)``. An empty window raises: its
+def _steady_window(res):
+    """Sojourn times and server types of the jobs of a run under the steady
+    window, whose records are those jobs alone. An empty window raises: its
     mean and histogram would be NaN."""
-    lo, hi = _window(horizon)
-    mask = (res.arrival_time >= lo) & (res.arrival_time <= hi)
-    if not mask.any():
+    if not len(res.arrival_time):
+        lo, hi = res.window
         raise ConfigError(f"no job both arrived in the steady window from t = {lo:g} "
-                          f"to {hi:g} and departed by run.horizon {horizon:g}; "
+                          f"to {hi:g} and departed by run.horizon {res.horizon:g}; "
                           f"lengthen the horizon")
-    return res.departure_time[mask] - res.arrival_time[mask], res.server_type[mask]
+    return res.departure_time - res.arrival_time, res.server_type
 
 
 def _sim_cell(spec, policy, n, run, replications):
@@ -163,11 +162,12 @@ def _sim_cell(spec, policy, n, run, replications):
                             sample_interval=run.horizon, window=_window(run.horizon))
     overall, per_type = [], []
     for res in results:
-        soj, types = _steady_window(res, run.horizon)
+        soj, types = _steady_window(res)
         overall.append(float(soj.mean()))
         per_type.append([float(soj[types == k].mean()) if (types == k).any() else np.nan
                          for k in range(spec.k)])
-    losses = sum(r.losses for r in results) / max(1, sum(r.arrivals for r in results))
+    losses = (sum(r.window_losses for r in results)
+              / max(1, sum(r.window_arrivals for r in results)))
     per_type = np.array(per_type)
     se = lambda v: float(np.std(v, ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
     return ((float(np.mean(overall)), se(overall)),
@@ -195,17 +195,12 @@ def cmd_table(args) -> int:
         for n in ns:
             label = "inf" if n is None else str(n)
             try:
-                if n is None:
-                    overall, per_type, loss = _analytic_cell(spec, pol)
-                    cells["entire"][label] = (overall, None, loss)
-                    for k, h in enumerate(per_type):
-                        cells[f"type{k}"][label] = (h, None, loss)
-                else:
-                    (ov, ov_se), per_type, loss = _sim_cell(spec, pol, n, run,
-                                                            args.replications)
-                    cells["entire"][label] = (ov, ov_se, loss)
-                    for k, (h, h_se) in enumerate(per_type):
-                        cells[f"type{k}"][label] = (h, h_se, loss)
+                (ov, ov_se), per_type, loss = (
+                    _analytic_cell(spec, pol) if n is None
+                    else _sim_cell(spec, pol, n, run, args.replications))
+                cells["entire"][label] = (ov, ov_se, loss)
+                for k, (h, h_se) in enumerate(per_type):
+                    cells[f"type{k}"][label] = (h, h_se, loss)
             except (ValidationError, ConvergenceError, ValueError) as e:
                 for scope in cells:
                     cells[scope][label] = (f"ERROR: {e}", None, None)
@@ -234,7 +229,7 @@ def cmd_dist(args) -> int:
     # the histogram reads the window's records only, as in _sim_cell
     res = sim.run(spec, policy, n=n, horizon=run.horizon, seed=run.seed,
                   sample_interval=run.horizon, window=_window(run.horizon))
-    soj, _ = _steady_window(res, run.horizon)
+    soj, _ = _steady_window(res)
 
     # every step that can fail has run, so a failed run leaves no output behind
     out = _outdir(args)

@@ -69,18 +69,18 @@ ticks before the horizon less arrivals and completions.
 
 A run with ``window=(lo, hi)`` records only the jobs that arrived at
 lo <= t <= hi, as the ``table`` and ``dist`` commands ask for their steady
-window (warm-up deletion: Welch 1983). A block that ends before lo clears
-its log unmatched. The block that reaches lo starts the waiting jobs from
-the queue lengths, one placeholder per queued job that no record keeps.
-Arrivals after hi join no queue, so a completion at a server with none of
-its jobs left is one of theirs and pairs with nothing, and matching stops
-with the first block that starts past hi while no window job waits. The
-records are the full run's in the window, in the same order, and every
-counter is the full run's. On the homogeneous cluster at N = 1000 and
-horizon 100, with the ``table`` window [50, 75], a run matches 13.5 of its
-34 blocks, at about 1 ms a block against about 6 ms for the loop, and
-takes 0.85 times as long as one that records every job (Python 3.11, one
-core of a 2-core Xeon VM).
+window (warm-up deletion: Welch 1983), by one rule: every admitted arrival
+waits, each completion takes the oldest job waiting at its server, and a
+job taken is recorded if it arrived at lo <= t <= hi. Blocks that end
+before lo are not matched; the first one after starts from a placeholder
+at t = -inf for each job queued then. Under FIFO no job after hi changes a
+window job's pairing, so matching stops at the first block past hi with no
+window job waiting. The records are the full run's in the window, in the
+same order, the counters the full run's, and ``window_arrivals`` and
+``window_losses`` count the window's arrivals and losses. On the
+homogeneous cluster at N = 1000 and horizon 100, with the ``table`` window
+[50, 75], a run matches 13.5 of its 34 blocks and takes 0.85 times as long
+as one that records every job (Python 3.11, one core of a 2-core Xeon VM).
 """
 
 from __future__ import annotations
@@ -110,6 +110,8 @@ class SimResult:
     length_seen: np.ndarray
     arrivals: int
     losses: int
+    window_arrivals: int  # arrivals at lo <= t <= hi; every arrival without a window
+    window_losses: int  # how many of them were lost
     completions: int
     in_flight: int
     n: int
@@ -155,14 +157,11 @@ def _match(tick_t, tick_j, n, log, wait, stores, stype, sbuf, lo, hi):
     every arrival's length seen and the completions' tick indices; an
     arrival that saw its server's buffer ``sbuf`` full was lost. ``wait``
     holds the jobs waiting from earlier blocks as (arrival time, server,
-    length seen), in arrival order. The block's admitted arrivals up to
-    ``hi`` join them, and each completion takes the oldest waiting job at
-    its server while one is left: the jobs behind them arrived after ``hi``.
-    The records of the jobs taken that arrived from ``lo`` on are appended
-    to ``stores`` in completion order. An infinite ``lo`` or ``hi`` costs no
-    test: the caller passes one where no job on that side of the window can
-    arrive or leave in the block. Returns the jobs still waiting and how
-    many of them arrived before ``lo``.
+    length seen), in arrival order. The admitted arrivals join them, each
+    completion takes the oldest job waiting at its server, and the jobs
+    taken that arrived in [lo, hi] are appended to the first four ``stores``
+    in completion order; the fifth gets whether each arrival in [lo, hi] was
+    admitted. Returns the jobs still waiting.
     """
     picks, seen, done = log
     arr = np.flatnonzero(tick_j < 0)
@@ -171,8 +170,6 @@ def _match(tick_t, tick_j, n, log, wait, stores, stype, sbuf, lo, hi):
     saw = np.fromiter(seen, np.int64, len(seen))
     arr_t = tick_t[arr]
     admit = saw < sbuf[srv]
-    if hi < np.inf:
-        admit &= arr_t <= hi
     keep = np.flatnonzero(admit)
     w_t, w_s, w_q = wait
     job_t = np.concatenate((w_t, arr_t[keep]))
@@ -187,29 +184,21 @@ def _match(tick_t, tick_j, n, log, wait, stores, stype, sbuf, lo, hi):
     # completions do along the sorted completions
     by_s = np.argsort(job_s, kind="stable")
     dep_by_s = np.argsort(dep_s, kind="stable")
-    jobs = np.bincount(job_s, minlength=n)
-    surplus = jobs - np.bincount(dep_s, minlength=n)
+    surplus = np.bincount(job_s, minlength=n) - np.bincount(dep_s, minlength=n)
     shift = np.cumsum(surplus) - surplus
     at = np.empty_like(dep)  # each completion's job's place in by_s
     at[dep_by_s] = np.arange(len(dep)) + shift[dep_s[dep_by_s]]
-    if hi < np.inf:
-        # completions at a server past its last job are those of jobs after
-        # hi; cumsum(jobs) is one past each server's last job in by_s
-        paired = np.flatnonzero(at < np.cumsum(jobs)[dep_s])
-        at, dep = at[paired], dep[paired]
     take = by_s[at]
     left = np.ones(len(job_t), dtype=bool)
     left[take] = False
     left = np.flatnonzero(left)
     got = job_t[take]
-    if lo > -np.inf:
-        rec = np.flatnonzero(got >= lo)
-        got, take, dep = got[rec], take[rec], dep[rec]
-    for store, col in zip(stores, (got, tick_t[dep], stype[tick_j[dep]], job_q[take])):
+    rec = np.flatnonzero((got >= lo) & (got <= hi))
+    got, take, dep = got[rec], take[rec], dep[rec]
+    for store, col in zip(stores, (got, tick_t[dep], stype[tick_j[dep]], job_q[take],
+                                   admit[(arr_t >= lo) & (arr_t <= hi)])):
         store.append(col)
-    w_t = job_t[left]
-    early = int(np.count_nonzero(w_t < lo)) if lo > -np.inf else 0
-    return (w_t, job_s[left], job_q[left]), early
+    return job_t[left], job_s[left], job_q[left]
 
 
 def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
@@ -217,7 +206,8 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     """Simulate ``n`` servers from empty up to ``horizon``.
 
     ``window=(lo, hi)`` keeps the records of the jobs that arrived at times
-    lo <= t <= hi only; None keeps every job's.
+    lo <= t <= hi only, and counts the arrivals at those times; None keeps
+    every job's.
     """
     wall0 = perf_counter()
     lo, hi = (-np.inf, np.inf) if window is None else window
@@ -279,12 +269,12 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
 
     # the event log, as lists: routed arrivals' servers, every arrival's
     # length seen and the completions' tick indices; a block's log is
-    # matched into one array per record field if it can hold a window job
+    # matched into one array per record field, and one of the window
+    # arrivals' admissions, if it can hold a window job
     picks, seen, done = log = ([], [], [])
-    stores = tuple([np.empty(0, dtype=dt)] for dt in (float, float, np.int64, np.int64))
+    stores = tuple([np.empty(0, dtype=dt)] for dt in (float, float, np.int64, np.int64, bool))
     stype_np, sbuf_np = np.array(stype, dtype=np.int64), np.array(sbuf)
     wait = None  # the jobs waiting, from the first block matched on
-    early = 0  # how many of them arrived before lo
     arrivals = losses = completions = ticks = 0
 
     n_samples = int(horizon / sample_interval + 1e-9) + 1
@@ -307,10 +297,10 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
             # matching starts with the block that reaches lo, and the jobs
             # queued then arrived before lo: placeholders, in no record, that
             # the first completions at their servers take
-            early = sum(qlen)
+            queued = sum(qlen)
             servers = np.arange(n, dtype=np.min_scalar_type(n - 1))
-            wait = (np.full(early, -np.inf), np.repeat(servers, qlen),
-                    np.zeros(early, dtype=np.int64))
+            wait = (np.full(queued, -np.inf), np.repeat(servers, qlen),
+                    np.zeros(queued, dtype=np.int64))
         cuts = tick_t.searchsorted(times[m:times.searchsorted(t_last, "right")])
         a = 0
         # memoryviews make one Python number per tick as it is read; t is
@@ -379,12 +369,10 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
                 _sample(traj, m, qlen, first)
                 m += 1
             a = b
-        # match until a block starts past hi with no window job waiting,
-        # leaving out an edge that no job in the block can cross
-        if wait is not None and (tick_t[0] <= hi or len(wait[0]) > early):
-            wait, early = _match(tick_t[:end], tick_j[:end], n, log, wait, stores,
-                                 stype_np, sbuf_np, lo if early or tick_t[0] < lo else -np.inf,
-                                 hi if t_last > hi else np.inf)
+        # match until a block starts past hi with no window job waiting
+        if wait is not None and (tick_t[0] <= hi or ((wait[0] >= lo) & (wait[0] <= hi)).any()):
+            wait = _match(tick_t[:end], tick_j[:end], n, log, wait, stores,
+                          stype_np, sbuf_np, lo, hi)
         arrivals += len(seen)
         completions += len(done)
         ticks += end
@@ -401,7 +389,7 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     for store in stores:
         records.append(np.concatenate(store))
         store.clear()
-    arr_s, dep_s, k_s, seen_s = records
+    arr_s, dep_s, k_s, seen_s, admitted = records
     in_flight = sum(qlen)
     return SimResult(
         trajectory=Trajectory(times=times, parts=tuple(a / n for a in traj)),
@@ -411,6 +399,8 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         length_seen=seen_s,
         arrivals=arrivals,
         losses=losses,
+        window_arrivals=len(admitted),
+        window_losses=len(admitted) - int(np.count_nonzero(admitted)),
         completions=completions,
         in_flight=in_flight,
         n=n,

@@ -345,7 +345,7 @@ GOLDEN_CLI_DIGESTS = {
         "jsq": "36f85529fb469fa9", "jbt": "caea0153e0c47782",
     },
     "table": "43b424526358b692",
-    "table-sim": "88f1f55699091fa4",
+    "table-sim": "1495c11582cae7b2",
     "dist": {
         "random": "8092216a2d1e6fa9", "jiq": "e73b9b5a819755e3",
         "jsq": "3747b58bbc71557b", "jbt": "9ec07f1f818923fb",

@@ -144,7 +144,7 @@ def test_fifo_departure_order_single_server(monkeypatch):
 
     def spy(*args):
         out = match(*args)
-        waiting.append(len(out[0][0]))
+        waiting.append(len(out[0]))
         return out
 
     monkeypatch.setattr(sim, "_match", spy)
@@ -409,22 +409,26 @@ def test_sample_interval_changes_no_record(het_spec, seed):
                 assert getattr(res, field) == getattr(runs[0], field), (name, field)
 
 
+def _windows(full):
+    """Windows from 0, from and to the middle of a tick block (n = 200 ticks
+    8192 times in about 12 time units), one that ends after the last
+    departure, and one from one arrival of the run ``full`` to another."""
+    arr = np.sort(full.arrival_time)
+    return [(0.0, 20.5), (17.3, 31.9), (33.3, 80.0),
+            (float(arr[len(arr) // 3]), float(arr[2 * len(arr) // 3]))]
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_window_keeps_the_full_runs_records_in_it(het_spec, seed):
     """A run under ``window=(lo, hi)`` records exactly the full run's jobs
     that arrived at lo <= t <= hi, in the same order, and counts every
-    event as the full run does: windows from 0, from and to the middle of a
-    tick block (n = 200 ticks 8192 times in about 12 time units), from one
-    arrival to another, and one that ends after the last departure."""
+    event as the full run does, on each of ``_windows``."""
     horizon = 50
     fields = ("arrival_time", "departure_time", "server_type", "length_seen")
     for name, policy in GOLDEN_POLICIES.items():
         full = sim.run(het_spec, policy, n=200, horizon=horizon, seed=seed)
         assert full.window is None
-        arr = np.sort(full.arrival_time)
-        windows = [(0.0, 20.5), (17.3, 31.9), (33.3, 80.0),
-                   (float(arr[len(arr) // 3]), float(arr[2 * len(arr) // 3]))]
-        for window in windows:
+        for window in _windows(full):
             res = sim.run(het_spec, policy, n=200, horizon=horizon, seed=seed,
                           window=window)
             assert res.window == window
@@ -439,6 +443,39 @@ def test_window_keeps_the_full_runs_records_in_it(het_spec, seed):
                 assert getattr(res, field) == getattr(full, field), (name, window, field)
             for got, want in zip(res.trajectory.parts, full.trajectory.parts):
                 assert got.tobytes() == want.tobytes(), (name, window)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_window_counts_its_arrivals_and_losses(het_spec, seed):
+    """``window_arrivals`` and ``window_losses`` count the arrivals at
+    lo <= t <= hi before the horizon and those lost. Tick blocks do not
+    depend on the horizon, so a run to a shorter horizon is a prefix of a
+    longer one, and the window's counters are those of the run to just past
+    hi less those of the run to lo. Without a window they are ``arrivals``
+    and ``losses``."""
+    horizon = 50
+
+    def counters(policy, h):
+        # a run to h counts the arrivals at t < h
+        if h == 0.0:
+            return 0, 0
+        res = sim.run(het_spec, policy, n=200, horizon=h, seed=seed, sample_interval=h)
+        return res.arrivals, res.losses
+
+    lost = 0
+    for name, policy in GOLDEN_POLICIES.items():
+        full = sim.run(het_spec, policy, n=200, horizon=horizon, seed=seed,
+                       sample_interval=horizon)
+        assert (full.window_arrivals, full.window_losses) == (full.arrivals, full.losses)
+        for lo, hi in _windows(full):
+            res = sim.run(het_spec, policy, n=200, horizon=horizon, seed=seed,
+                          sample_interval=horizon, window=(lo, hi))
+            a_lo, l_lo = counters(policy, lo)
+            a_hi, l_hi = counters(policy, min(np.nextafter(hi, np.inf), horizon))
+            assert (res.window_arrivals, res.window_losses) == (a_hi - a_lo, l_hi - l_lo), \
+                (name, lo, hi)
+            lost += res.window_losses
+    assert lost > 0
 
 
 def test_replicate_passes_the_window_to_every_worker(het_spec, monkeypatch):
