@@ -237,8 +237,9 @@ def cmd_dist(args) -> int:
                ((float(t), float(h), int(f)) for t, h, f in
                 zip(dens.t, dens.density, dens.flagged)))
     edges = np.linspace(0.0, t_max, args.bins + 1)
-    hist, _ = np.histogram(soj, bins=edges, density=True)
     scale = (soj <= t_max).mean()  # histogram density over the window only
+    # with no sojourn in range, numpy's density would divide 0 by 0
+    hist = np.histogram(soj, bins=edges, density=True)[0] if scale else np.zeros(args.bins)
     _write_csv(out / "hist.csv", ["bin_lo", "bin_hi", "density"],
                ((float(lo), float(hi), float(h * scale))
                 for lo, hi, h in zip(edges[:-1], edges[1:], hist)))

@@ -99,7 +99,8 @@ def f_jsq(x: list, buffers) -> DispatchField:
         if mass > ZERO_MASS:
             break
     else:
-        # numpy's pairwise sum over every entry, which the recorded outputs use
+        # only a direct call on rows of total mass at most (B + 1) * ZERO_MASS gets
+        # here, never an integrator state (mass 1); all is lost, as numpy's pairwise sum
         return DispatchField(f, float(np.sum(_clip(x))), buffers)
     loss = 0.0
     for row, v, b in zip(f, col, buffers):

@@ -12,8 +12,8 @@ the boundary of the occupancy simplex the hard part:
   full midpoint step across such a jump can cancel its own boundary flux
   and freeze the trajectory;
 * one boundary sweep clears each type's entries below a floor into its
-  largest entry, keeping type masses exact: negative overshoot after each
-  sub-step, and residue below DUST before each sub-step and after the step.
+  largest entry, keeping type masses exact: ``v0`` once, then negative
+  overshoot and residue below DUST at the end of each sub-step.
 
 Fields are evaluated verbatim on the current state (no sliding-mode
 construction); near a discontinuous attractor the trajectory hovers within
@@ -64,39 +64,31 @@ def rhs(v: Occupancy, spec: ClusterSpec, policy: Policy):
 
 
 def _support(f):
-    return [[v > 1e-12 for v in row] for row in f.rows]
-
-
-def _has(x, lo):
-    """Whether some nonzero entry of x lies below lo."""
-    for row in x:
-        for v in row:
-            if v < lo and v != 0.0:
-                return True
-    return False
+    return [[v > dispatch.ZERO_MASS for v in row] for row in f.rows]
 
 
 def _sweep(x, lo):
-    """Clear every nonzero entry below lo into its type's largest entry,
-    summed left to right from 0.0. Rows change in place."""
-    if _has(x, lo):
-        for row in x:
-            top = row.index(max(row))
-            s = 0.0
-            for i, v in enumerate(row):
-                if v < lo and v != 0.0:
-                    s += v
-                    row[i] = 0.0
-            row[top] += s
+    """Clear every nonzero entry below lo into its type's largest entry as it
+    stood, summed left to right from 0.0. Rows change in place."""
+    for row in x:
+        for v in row:
+            if v < lo and v != 0.0:
+                top = row.index(max(row))
+                s = 0.0
+                for i, w in enumerate(row):
+                    if w < lo and w != 0.0:
+                        s += w
+                        row[i] = 0.0
+                row[top] += s
+                break
     return x
 
 
 def _advance(x, rates, spec, policy, dt):
-    """Move the padded state rows x forward by dt with boundary-exact sub-steps."""
+    """Move rows x, swept below DUST, by dt in boundary-exact sub-steps that keep them so."""
     lam = spec.lam
     remaining = dt
     for _ in range(64):
-        x = _sweep(x, DUST)
         f1 = dispatch.field(x, spec, policy)
         k1 = _deriv(rates, lam, x, f1.rows)
         h = remaining
@@ -104,16 +96,17 @@ def _advance(x, rates, spec, policy, dt):
         if cuts:
             h = min(h, min(cuts))
         if h <= 0.0:
-            h = remaining  # only zero entries fall; the sweep below clears them
+            h = remaining  # only zero entries fall; the sweeps below clear them
         half = 0.5 * h
         mid = [[v + half * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k1)]
         f2 = dispatch.field(mid, spec, policy)
         k = _deriv(rates, lam, mid, f2.rows) if _support(f1) == _support(f2) else k1
-        x = _sweep([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)], 0.0)
+        x = _sweep(_sweep([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)],
+                          0.0), DUST)
         remaining -= h
         if remaining <= 1e-12 * dt:
-            return _sweep(x, DUST)
-    return _sweep(x, DUST)
+            break
+    return x
 
 
 def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
@@ -131,10 +124,10 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
     dt = sample_interval / per_sample
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
-    x = v0.array.tolist()
+    x = _sweep(v0.array.tolist(), DUST)
     rates = spec.rates.tolist()
     traj = np.empty((n_samples,) + v0.array.shape)
-    traj[0] = x
+    traj[0] = v0.array
     for s in range(1, n_samples):
         for _ in range(per_sample):
             x = _advance(x, rates, spec, policy, dt)

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,19 @@ def test_dist_empty_steady_window_exits_with_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no job both arrived in the steady window")
     assert not out.exists()  # no partial output: not even density.csv
+
+
+def test_dist_histogram_is_zero_when_no_sojourn_is_in_range(tmp_path):
+    # no window job's sojourn is at or below this --t-max, so every bin holds
+    # zero jobs: zeros, not numpy's 0/0 density with its warning
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["dist", "--config", str(CONFIGS / "small_buffer.json"),
+                         "--out", str(out), "--t-max", "0.0001", "--points", "20",
+                         "--bins", "4"]) == 0
+    _, rows = read_csv(out / "hist.csv")
+    assert [float(r[2]) for r in rows] == [0.0] * 4
 
 
 def test_dist_exponential_sanity(tmp_path):

@@ -104,6 +104,15 @@ def test_jsq_saturated_is_loss():
     assert f.loss == pytest.approx(1.0) and field_total(f) == 0.0
 
 
+def test_jsq_with_no_level_above_zero_mass_loses_everything():
+    # every level's clipped mass, summed over types, is at most ZERO_MASS
+    x = occ([4e-13, -3e-13, 5e-13], [2e-13, 0.0, 1e-13])
+    f = f_jsq(*x)
+    assert f.rows == [[0.0] * 3, [0.0] * 3]
+    assert f.loss == float(np.sum(np.maximum(x[0], 0.0)))
+    assert f.loss == pytest.approx(1.2e-12, rel=1e-12)
+
+
 # --- jsqd --------------------------------------------------------------------
 
 def test_jsqd_one_is_random(hom_spec):

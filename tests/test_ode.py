@@ -243,3 +243,38 @@ def test_trajectory_matches_recorded_digest(fixture, label, request):
                          horizon=3, dt=0.002)
     digest = hashlib.sha256(b"".join(p.tobytes() for p in traj.parts)).hexdigest()
     assert digest == TRAJECTORY_DIGESTS[fixture, label]
+
+
+def test_sweep_clears_below_the_floor_into_the_largest_entry():
+    """``_sweep`` adds a row's nonzero entries below the floor, left to right
+    from 0.0, to the row's largest entry as it stood before clearing; exact
+    zeros of either sign, and rows with nothing below the floor, keep their bits."""
+    # 2.1 + ((0.1 + 0.4) + 0.3) rounds up; the sum in reverse order, or the
+    # entries added to 2.1 one by one, give 2.9
+    x = [[0.1, 2.1, 0.4, 0.3], [0.0, 1.5, -0.0, 3.0]]
+    clean = np.array(x[1]).tobytes()
+    assert ode._sweep(x, 1.0) is x
+    assert x[0] == [0.0, 2.9000000000000004, 0.0, 0.0]
+    assert np.array(x[1]).tobytes() == clean
+    x = [[0.25, -0.125, 0.5, -0.0]]
+    ode._sweep(x, 0.0)
+    assert np.array(x[0]).tobytes() == np.array([0.25, 0.0, 0.375, -0.0]).tobytes()
+    # a row of dust only (a type share below (B + 1) * DUST): its mass stays
+    # at its largest entry, which the sweep itself clears first
+    x = [[0.0, 2e-14, 5e-14, -1e-15]]
+    ode._sweep(x, ode.DUST)
+    assert x == [[0.0, 0.0, 2e-14 + 5e-14 + -1e-15, 0.0]]
+
+
+def test_integrate_sweeps_v0_once(het_spec):
+    """Dust in ``v0`` is swept before the first step: sample 0 is ``v0`` as
+    given, and the later samples match a digest recorded when ``_advance``
+    swept at the top of every sub-step."""
+    v0 = Occupancy.empty(het_spec)
+    v0.array[0, 1] = 1e-14
+    v0.array[1, 2] = -1e-15
+    traj = ode.integrate(v0, het_spec, Policy("jsq"), horizon=1.0, dt=0.002,
+                         sample_interval=0.25)
+    assert [p[0].tobytes() for p in traj.parts] == [p.tobytes() for p in v0.parts]
+    digest = hashlib.sha256(b"".join(p[1:].tobytes() for p in traj.parts)).hexdigest()
+    assert digest == "06b1496fb0b753cff1937f8fac5b6624e37a47d04f95a54a470fd6bc372e2bc4"
