@@ -132,7 +132,7 @@ def _analytic_cell(spec, policy):
     report = stationary.solve(spec, policy)
     overall, _ = systemtime.mean_sojourn(spec, policy, report)
     per_type, _ = stationary.little(spec, policy, report)
-    return (overall, None), [(h, None) for h in per_type], report.loss_prob
+    return [(h, "") for h in (overall, *per_type)], report.loss_prob
 
 
 def _window(horizon):
@@ -160,19 +160,18 @@ def _sim_cell(spec, policy, n, run, replications):
     results = sim.replicate(spec, policy, n=n, horizon=run.horizon,
                             seed=run.seed, r=replications,
                             sample_interval=run.horizon, window=_window(run.horizon))
-    overall, per_type = [], []
+    means = []  # per replication: the window's mean, then each type's
     for res in results:
         soj, types = _steady_window(res)
-        overall.append(float(soj.mean()))
-        per_type.append([float(soj[types == k].mean()) if (types == k).any() else np.nan
-                         for k in range(spec.k)])
+        means.append([soj.mean(), *(soj[types == k].mean() if (types == k).any() else np.nan
+                                    for k in range(spec.k))])
     losses = (sum(r.window_losses for r in results)
               / max(1, sum(r.window_arrivals for r in results)))
-    per_type = np.array(per_type)
-    se = lambda v: float(np.std(v, ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
-    return ((float(np.mean(overall)), se(overall)),
-            [(float(np.nanmean(per_type[:, k])), se(per_type[:, k])) for k in range(spec.k)],
-            losses)
+    se = lambda v: (float(np.std(v, ddof=1) / np.sqrt(len(v))) if len(v) > 1
+                    else 0.0 if len(v) else np.nan)
+    # each scope over the replications with a job in it
+    columns = [v[~np.isnan(v)] for v in np.array(means).T]
+    return [(float(np.mean(v)), se(v)) for v in columns], losses
 
 
 def cmd_table(args) -> int:
@@ -181,7 +180,9 @@ def cmd_table(args) -> int:
                 if args.policies else [policy])
     _at_least(1, ("--replications", args.replications))
     try:
-        ns = [(None if x in ("inf", "mf") else int(x)) for x in args.n.split(",")]
+        # a repeated size, and 'inf' beside 'mf', is one size at its first place
+        ns = list(dict.fromkeys(None if x in ("inf", "mf") else int(x)
+                                for x in args.n.split(",")))
         if any(n is not None and n < 1 for n in ns):
             raise ValueError
     except ValueError:
@@ -189,27 +190,18 @@ def cmd_table(args) -> int:
     if any(n is not None for n in ns):
         sim.workers()  # a malformed LBMF_THREADS stops the run, not each cell
     out = _outdir(args)
+    scopes = ["entire"] + [f"type{k}" for k in range(spec.k)]
     rows = []
     for pol in policies:
-        cells = {"entire": {}, **{f"type{k}": {} for k in range(spec.k)}}
+        cells = []  # per size: a (mean, stderr) pair per scope, and the loss
         for n in ns:
-            label = "inf" if n is None else str(n)
             try:
-                (ov, ov_se), per_type, loss = (
-                    _analytic_cell(spec, pol) if n is None
-                    else _sim_cell(spec, pol, n, run, args.replications))
-                cells["entire"][label] = (ov, ov_se, loss)
-                for k, (h, h_se) in enumerate(per_type):
-                    cells[f"type{k}"][label] = (h, h_se, loss)
-            except (ValidationError, ConvergenceError, ValueError) as e:
-                for scope in cells:
-                    cells[scope][label] = (f"ERROR: {e}", None, None)
-        for scope, by_n in cells.items():
-            for label, (val, se_, loss) in by_n.items():
-                rows.append((pol.label(), scope, label,
-                             val if isinstance(val, str) else float(val),
-                             "" if se_ is None else se_,
-                             "" if loss is None else loss))
+                cells.append(_analytic_cell(spec, pol) if n is None
+                             else _sim_cell(spec, pol, n, run, args.replications))
+            except (ValueError, ConvergenceError) as e:
+                cells.append(([(f"ERROR: {e}", "")] * len(scopes), ""))
+        rows += [(pol.label(), scope, "inf" if n is None else n, *pairs[j], loss)
+                 for j, scope in enumerate(scopes) for n, (pairs, loss) in zip(ns, cells)]
     _write_csv(out / "table.csv",
                ["policy", "scope", "n", "mean", "stderr", "loss"], rows)
     return EXIT_OK

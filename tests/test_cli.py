@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lbmf import cli
-from lbmf.model import ConvergenceError
+from lbmf.model import ConvergenceError, parse_config
 
 from conftest import HOM_MU
 
@@ -121,6 +121,67 @@ def test_table_malformed_thread_count_names_the_variable(tmp_path, monkeypatch, 
     assert not out.exists()
     assert cli.main(["table", "--config", str(CONFIGS / "homogeneous.json"),
                      "--out", str(out), "--n", "inf", "--policies", "random"]) == 0
+
+
+def test_table_computes_each_size_once(tmp_path, monkeypatch):
+    """A repeated size, and 'inf' beside 'mf', is one size: each cell is
+    computed once per policy and written once, at its first place."""
+    calls = {"replicate": 0, "solve": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(cli.sim, "replicate")
+    spy(cli.stationary, "solve")
+    args = ["table", "--config", str(CONFIGS / "homogeneous.json"),
+            "--replications", "2", "--policies", "random,jbt"]
+    assert cli.main([*args, "--out", str(tmp_path / "rep"), "--n", "20,20,inf,mf"]) == 0
+    assert calls == {"replicate": 2, "solve": 2}
+    assert cli.main([*args, "--out", str(tmp_path / "once"), "--n", "20,inf"]) == 0
+    assert ((tmp_path / "rep" / "table.csv").read_bytes()
+            == (tmp_path / "once" / "table.csv").read_bytes())
+
+
+def test_table_per_type_stderr_skips_replications_without_the_type(tmp_path):
+    """A per-type mean and stderr run over the same replications, those with
+    a window job of that type; at this seed 5 of the 8 have a type-1 job."""
+    doc = {
+        "lambda": 0.3,
+        "types": [{"gamma": 0.9, "mu": [1.0, 1.0, 1.0], "mpl": 1},
+                  {"gamma": 0.1, "mu": [1.0, 1.0, 1.0], "mpl": 1}],
+        "policy": {"kind": "random"},
+        "run": {"n_servers": 10, "horizon": 10.0, "dt": 0.01, "seed": 1,
+                "sample_interval": 1.0},
+    }
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out), "--n", "10",
+                     "--replications", "8", "--policies", "random"]) == 0
+    _, rows = read_csv(out / "table.csv")
+    row = next(r for r in rows if r[1] == "type1")
+    spec, policy, _ = parse_config(json.dumps(doc))
+    results = cli.sim.replicate(spec, policy, n=10, horizon=10.0, seed=1, r=8,
+                                sample_interval=10.0, window=cli._window(10.0))
+    means = [(res.departure_time - res.arrival_time)[res.server_type == 1].mean()
+             for res in results if (res.server_type == 1).any()]
+    assert len(means) == 5
+    assert float(row[3]) == pytest.approx(np.mean(means), rel=1e-15)
+    assert float(row[4]) == pytest.approx(np.std(means, ddof=1) / np.sqrt(5), rel=1e-12)
+    # at horizon 3 and seed 3 neither replication has a type-1 window job
+    doc["run"].update(horizon=3.0, seed=3)
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's mean of no value
+        assert cli.main(["table", "--config", str(cfg), "--out", str(out), "--n", "10",
+                         "--replications", "2", "--policies", "random"]) == 0
+    _, rows = read_csv(out / "table.csv")
+    assert [r[3:5] for r in rows if r[1] == "type1"] == [["nan", "nan"]]
 
 
 def test_dist_outputs(tmp_path, b5_spec):

@@ -246,3 +246,36 @@ def test_non_numeric_and_non_integer_fields_rejected(where, value):
         doc["types"][0][where] = value
     with pytest.raises(ConfigError, match=f"{where}: expected"):
         parse_config(json.dumps(doc))
+
+
+def _curve(*mu):
+    return ServiceRateCurve.from_mu(mu)
+
+
+@pytest.mark.parametrize("lam,types,message", [
+    (0.5, (), "types: empty"),
+    (0.0, ((1.0, _curve(1.0, 1.0)),), "lambda must be > 0, got 0.0"),
+    (0.5, ((1.0, ServiceRateCurve((0.0,))),), "type 0: buffer must be >= 1"),
+    (0.5, ((1.0, ServiceRateCurve((0.5, 1.0, 1.0))),), "type 0: rates[0] must be 0, got 0.5"),
+    (0.5, ((1.5, _curve(1.0, 1.0)), (-0.5, _curve(1.0, 1.0))),
+     "type 0: gamma must be in (0, 1], got 1.5"),
+    (0.5, ((1.0, _curve(1.0, 1.0), 3),), "type 0: mpl must be in [1, 2], got 3"),
+    (0.5, ((0.5, _curve(1.0, 1.0)), (0.4, _curve(1.0, 1.0))),
+     "type fractions sum to 0.9, expected 1")],
+    ids=["no-types", "lambda-0", "buffer-0", "rates0", "gamma-1.5", "mpl-3", "gamma-sum"])
+def test_validate_names_each_broken_rule(lam, types, message):
+    spec = ClusterSpec(lam=lam, types=tuple(ServerType(*t) for t in types))
+    assert message in validate(spec, Policy("random"))
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.update(policy=["jsq"]), "policy: expected an object"),
+    (lambda doc: doc["run"].pop("dt"), "run: missing key 'dt'"),
+    (lambda doc: doc["types"][0].update(mu=1.0), "types[0].mu: expected a nonempty array")],
+    ids=["section-not-object", "missing-key", "mu-not-list"])
+def test_parse_names_each_malformed_section(edit, message):
+    doc = _hom_config()
+    edit(doc)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert str(err.value) == message
