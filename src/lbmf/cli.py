@@ -171,7 +171,7 @@ def _sim_cell(spec, policy, n, run, replications):
                     else 0.0 if len(v) else np.nan)
     # each scope over the replications with a job in it
     columns = [v[~np.isnan(v)] for v in np.array(means).T]
-    return [(float(np.mean(v)), se(v)) for v in columns], losses
+    return [(float(np.mean(v)) if len(v) else np.nan, se(v)) for v in columns], losses
 
 
 def cmd_table(args) -> int:

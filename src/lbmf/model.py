@@ -324,13 +324,10 @@ def parse_config(text):
     empty queue is implicit and must not appear in the file. Type fractions
     off by less than 1e-9 are renormalized, anything worse is rejected.
     """
-    if isinstance(text, (str, bytes)):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"invalid JSON: {e}") from e
-    else:
-        doc = text
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"invalid JSON: {e}") from e
     _require_keys(doc, {"lambda", "types", "policy", "run"},
                   {"lambda", "types", "policy", "run"}, "config")
     lam = _number(doc["lambda"], "lambda")

@@ -20,14 +20,19 @@ arrivals at length j - 1 plus, at the floor, refills; the weights over all
 types sum to the admitted fraction.
 
 ``mean_sojourn_lps`` covers limited processor sharing, where up to ``mpl``
-jobs split a server's capacity evenly: positions in service are
-exchangeable, so the system collapses in i there, but couples neighbouring
-queue lengths both ways and is solved as a dense linear system.
+jobs split a server's capacity evenly. A job in service at length j is one
+of k = min(j, mpl) jobs sharing it: it completes at rate mu[j] / k, moves
+to length j - 1 at rate mu[j] (k - 1) / k and to j + 1 at rate a[j]. Its
+row H1 is tridiagonal in j: one elimination going up in j and one back
+substitution going down solve it, with no pivoting and no matrix. A job
+waiting at position i > mpl moves as under FIFO and enters service at
+mpl + 1, so the waiting rows are the recursion started from H1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 
@@ -58,11 +63,18 @@ class _Queue:
     lo: int
     levels: dict
 
-    def add_transform(self, s, acc):
+    def add_transform(self, s, acc, mpl=0):
         """Add the entry-weighted diagonal H[j, j] of the transform recursion
         at the 1-D complex points ``s`` into ``acc``; H[j, j] is final after
-        row j."""
-        for i, row in _rows(self, 0.0, 1.0, s):
+        row j. Under limited processor sharing at level ``mpl`` a job that
+        enters at j <= mpl is in service, and its entry is H1[j]."""
+        row, start = [1.0] * len(self.mu) + [0.0], 1
+        if mpl:
+            row, start = _service_row(self, mpl, s), mpl + 1
+            for j, w in self.levels.items():
+                if j <= mpl:
+                    acc += w * row[j]
+        for i, row in _rows(self, 0.0, row, s, start):
             if i in self.levels:
                 acc += self.levels[i] * row[i]
 
@@ -82,20 +94,21 @@ def _queues(spec, report):
     return queues
 
 
-def _rows(q: _Queue, c, first, s):
-    """Run the recursion for one type, yielding (i, row) once row i is final.
+def _rows(q: _Queue, c, row, s, start=1):
+    """Run the recursion for one type from row ``start - 1``, yielding
+    (i, row) once row i is final.
 
-    ``row[j]`` then holds H[i, j] for max(i, lo) <= j <= B; lower entries are
-    left over from earlier rows. One row is overwritten going down in j:
+    ``row`` has B + 2 entries and is overwritten in place, going down in j:
     H[i, j] reads H[i-1, max(j-1, lo)], not yet overwritten, and H[i, j+1],
-    already new; ``row[B + 1]`` is a zero pad, since a[B] = 0. Entries are
-    floats for a float ``s`` and arrays over the points of an array ``s``.
+    already new; ``row[B + 1]`` is a zero pad, since a[B] = 0. After row i,
+    ``row[j]`` holds H[i, j] for max(i, lo) <= j <= B; lower entries are left
+    over from earlier rows. Entries are floats for a float ``s`` and arrays
+    over the points of an array ``s``.
     """
     mu, a, lo = q.mu, q.a, q.lo
     b = len(mu) - 1
     den = [s + a[j] + mu[j] for j in range(b + 1)]
-    row = [first] * (b + 1) + [0.0]
-    for i in range(1, b + 1):
+    for i in range(start, b + 1):
         for j in range(b, max(i, lo) - 1, -1):
             row[j] = (c + mu[j] * row[max(j - 1, lo)] + a[j] * row[j + 1]) / den[j]
         yield i, row
@@ -116,7 +129,7 @@ def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     for q in queues:
         b = len(q.mu) - 1
         h = np.zeros((b + 1, b + 2))
-        for i, row in _rows(q, 1.0, 0.0, 0.0):
+        for i, row in _rows(q, 1.0, [0.0] * (b + 2), 0.0):
             start = max(i, q.lo)
             h[i, start:b + 1] = row[start:b + 1]
         tables.append(h)
@@ -221,10 +234,10 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
     """Transform evaluator under limited processor sharing.
 
     The evaluator takes s the way ``transform``'s does: a complex scalar, or
-    an ndarray of complex points evaluated with one stacked linear solve.
-    Requires a multiprogramming level on every type and a regime where the
-    dispatch field is continuous at the stationary point, which are those
-    with floor 0; the discontinuous regimes are not covered.
+    an ndarray of complex points, all swept at once. Requires a
+    multiprogramming level on every type and a regime where the dispatch
+    field is continuous at the stationary point, which are those with floor
+    0; the discontinuous regimes are not covered.
     """
     if report.floor != 0:
         raise ValueError(
@@ -232,54 +245,29 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
         )
     _check_regime(policy, report)
     ValidationError.check(mpl_violations(spec, "lps"))
-    return _pointwise([_LpsSystem(q, t.mpl).add for q, t in zip(_queues(spec, report), spec.types)])
+    return _pointwise([partial(q.add_transform, mpl=int(t.mpl))
+                       for q, t in zip(_queues(spec, report), spec.types)])
 
 
-class _LpsSystem:
-    """Per-type processor-sharing system of one queue; entry j maps to the
-    tagged job's start state (in service if j <= mpl, else waiting at
-    position j).
+def _service_row(q: _Queue, mpl, s):
+    """H1[1..B], the transform of a job in service, as a recursion row.
 
-    The matrix is stored without s, which only adds to its diagonal.
+    At length j the job is one of k = min(j, mpl) in service, so
+    (s + a[j] + mu[j]) H1[j] = mu[j] / k + mu[j] (k - 1) / k H1[j-1] + a[j] H1[j+1].
+    Eliminating H1[j-1] going up leaves H1[j] = (r[j] + a[j] H1[j+1]) / d[j],
+    solved going down; at mpl = 1 that is row 1 of the FIFO recursion, bit
+    for bit.
     """
-
-    def __init__(self, q: _Queue, mpl):
-        mu, a, m, b = q.mu, q.a, int(mpl), len(q.mu) - 1
-        self.levels = q.levels
-        index = {}
-        for j in range(1, b + 1):
-            index[(1, j)] = len(index)
-        for j in range(m + 1, b + 1):
-            for i in range(m + 1, j + 1):
-                index[(i, j)] = len(index)
-        n = len(index)
-        mat = np.zeros((n, n))
-        rhs = np.zeros(n)
-        for (i, j), row in index.items():
-            mat[row][row] = a[j] + mu[j]
-            if j < b:
-                mat[row][index[(i, j + 1)]] -= a[j]
-            if i == 1:
-                share = m if j >= m else j
-                if j > 1:
-                    mat[row][index[(1, j - 1)]] -= mu[j] * (share - 1) / share
-                rhs[row] = mu[j] / share
-            elif i == m + 1:
-                mat[row][index[(1, j - 1)]] -= mu[j]
-            else:
-                mat[row][index[(i - 1, j - 1)]] -= mu[j]
-        self.mat, self.rhs = mat, rhs
-        self.entry = {j: index[(1, j) if j <= m else (j, j)] for j in range(1, b + 1)}
-
-    def add(self, s, acc):
-        """Solve at every point of the 1-D complex array ``s`` with one
-        stacked solve, and add the entry-weighted solutions into ``acc``.
-        The stack holds len(s) dense n x n matrices."""
-        n = len(self.rhs)
-        mats = np.empty((len(s), n, n), dtype=complex)
-        mats[:] = self.mat
-        diag = np.arange(n)
-        mats[:, diag, diag] += s[:, None]
-        sol = np.linalg.solve(mats, self.rhs)
-        for j, w in self.levels.items():
-            acc += w * sol[:, self.entry[j]]
+    mu, a = q.mu, q.a
+    b = len(mu) - 1
+    d, r = [None] * (b + 1), [None] * (b + 1)
+    for j in range(1, b + 1):
+        k = min(j, mpl)
+        d[j], r[j] = s + a[j] + mu[j], mu[j] / k
+        if k > 1:
+            down = mu[j] * (k - 1) / k / d[j - 1]
+            d[j], r[j] = d[j] - down * a[j - 1], r[j] + down * r[j - 1]
+    row = [1.0] * (b + 1) + [0.0]
+    for j in range(b, 0, -1):
+        row[j] = (r[j] + a[j] * row[j + 1]) / d[j]
+    return row

@@ -357,6 +357,52 @@ def reference_queues(spec, policy, report):
     return out
 
 
+def lps_transform_dense(spec, policy, report, s, block=256):
+    """The system-time transform under limited processor sharing at the 1-D
+    complex points ``s``, from the tagged job's generator as one dense
+    linear system per type and point.
+
+    A state (i, j) is the job at position i of a length-j queue. Positions
+    1..mpl are in service and exchangeable, so (1, j) stands for all of
+    them. In service at length j the job is one of k = min(j, mpl) jobs: it
+    completes at rate mu[j] / k, goes to (1, j - 1) at rate
+    mu[j] (k - 1) / k and to (1, j + 1) at rate a[j]. Waiting at i > mpl it
+    goes to (i - 1, j - 1), or (1, j - 1) from mpl + 1, at rate mu[j] and to
+    (i, j + 1) at rate a[j]. The transform solves (s + rate out) x - moves x
+    = completion rate, stacked over ``block`` points at a time.
+    """
+    s = np.asarray(s, dtype=complex).reshape(-1)
+    out = np.zeros(len(s), dtype=complex)
+    for t, (a, _, levels) in zip(spec.types, reference_queues(spec, policy, report)):
+        mu, m, b = t.curve.rates, int(t.mpl), t.buffer
+        states = [(1, j) for j in range(1, b + 1)]
+        states += [(i, j) for j in range(m + 1, b + 1) for i in range(m + 1, j + 1)]
+        index = {state: n for n, state in enumerate(states)}
+        gen, done = np.zeros((len(states), len(states))), np.zeros(len(states))
+        for (i, j), n in index.items():
+            moves = [((i, j + 1), a[j])] if j < b else []
+            if i == 1:
+                k = min(j, m)
+                done[n] = mu[j] / k
+                if k > 1:
+                    moves.append(((1, j - 1), mu[j] * (k - 1) / k))
+            else:
+                moves.append(((1 if i == m + 1 else i - 1, j - 1), mu[j]))
+            gen[n, n] = done[n] + sum(rate for _, rate in moves)
+            for state, rate in moves:
+                gen[n, index[state]] -= rate
+        entry = [(index[(1, j) if j <= m else (j, j)], w) for j, w in levels.items()]
+        diag = np.arange(len(states))
+        for lo in range(0, len(s), block):
+            chunk = s[lo:lo + block]
+            mats = np.repeat(gen[None].astype(complex), len(chunk), axis=0)
+            mats[:, diag, diag] += chunk[:, None]
+            sol = np.linalg.solve(mats, np.tile(done, (len(chunk), 1))[..., None])[..., 0]
+            for n, w in entry:
+                out[lo:lo + block] += w * sol[:, n]
+    return out
+
+
 def sojourn_weights(spec, policy, report):
     """Entry weights (k, entry length, weight) of the system-time recursion
     in the report's regime."""

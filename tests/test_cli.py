@@ -123,6 +123,23 @@ def test_table_malformed_thread_count_names_the_variable(tmp_path, monkeypatch, 
                      "--out", str(out), "--n", "inf", "--policies", "random"]) == 0
 
 
+def test_seed_option_replaces_the_config_seed(tmp_path):
+    """``--seed 5`` writes the bytes of the same config with seed 5, which
+    differ from those of the config's own seed."""
+    def table(name, seed, *extra):
+        run = {"n_servers": 200, "horizon": 20.0, "dt": 0.01, "seed": seed,
+               "sample_interval": 1.0}
+        cfg = hom_config(tmp_path, run=run)
+        assert cli.main(["table", "--config", str(cfg), "--out", str(tmp_path / name),
+                         "--n", "20", "--replications", "2", "--policies", "random",
+                         *extra]) == 0
+        return (tmp_path / name / "table.csv").read_bytes()
+
+    override = table("override", 11, "--seed", "5")
+    assert override == table("config", 5)
+    assert override != table("own", 11)
+
+
 def test_table_computes_each_size_once(tmp_path, monkeypatch):
     """A repeated size, and 'inf' beside 'mf', is one size: each cell is
     computed once per policy and written once, at its first place."""
@@ -177,7 +194,7 @@ def test_table_per_type_stderr_skips_replications_without_the_type(tmp_path):
     doc["run"].update(horizon=3.0, seed=3)
     cfg.write_text(json.dumps(doc))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's mean of no value
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy mean of no value
         assert cli.main(["table", "--config", str(cfg), "--out", str(out), "--n", "10",
                          "--replications", "2", "--policies", "random"]) == 0
     _, rows = read_csv(out / "table.csv")
@@ -389,6 +406,8 @@ TWO_TYPES = [{"gamma": 0.5, "mu": HOM_MU, "mpl": 5}, {"gamma": 0.5, "mu": HOM_MU
     (["table", "--n", "10"], {"run": {"horizon": 20.0, "dt": 0.01, "sample_interval": 0.0}}),
     (["table", "--n", "10"], {"types": [{"gamma": 1.0, "mu": [1.0, float("nan"), 2.0]}]}),
     (["table"], {"lambda": 10 ** 400}),
+    (["table", "--policies", "jsq:2"], {}),
+    (["table", "--policies", "jsqd"], {}),
     (["dist"], {"types": TWO_TYPES, "run": {"n_servers": 1, "horizon": 20.0, "dt": 0.01,
                                            "sample_interval": 1.0}}),
     (["transient", "--overlay-sim"], {"types": TWO_TYPES, "run": {
@@ -398,7 +417,8 @@ TWO_TYPES = [{"gamma": 0.5, "mu": HOM_MU, "mpl": 5}, {"gamma": 0.5, "mu": HOM_MU
          "d-list-2.5", "d-list-0", "points-0", "bins-0",
          "transient-seed--1", "dist-seed--1", "table-seed--1", "t-max--1", "t-max-0",
          "replications-0", "n-0", "horizon-inf", "sample_interval-0", "mu-nan",
-         "lambda-1e400", "dist-n_servers-1", "transient-n_servers-1"])
+         "lambda-1e400", "policies-jsq:2", "policies-jsqd", "dist-n_servers-1",
+         "transient-n_servers-1"])
 def test_bad_input_exits_with_error_line(tmp_path, capsys, argv, doc):
     """Malformed policies, config fields and option values exit 1 with an
     error line, not a traceback or ERROR cells, before anything is computed."""

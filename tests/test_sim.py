@@ -200,6 +200,11 @@ def test_replicate_single_is_plain_run(hom_spec, monkeypatch):
     assert np.array_equal(direct.arrival_time, reps[0].arrival_time)
 
 
+def test_replicate_refuses_no_replications(hom_spec):
+    with pytest.raises(ValueError, match="replication count must be >= 1"):
+        sim.replicate(hom_spec, Policy("random"), n=100, horizon=10, seed=7, r=0)
+
+
 def test_time_average_matches_exact_chain():
     """Tiny clusters against the exact count-process stationary solve."""
     spec = small_spec()

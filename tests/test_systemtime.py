@@ -5,7 +5,7 @@ from lbmf import ilt, stationary, systemtime
 from lbmf.model import ClusterSpec, Policy, ServerType, ServiceRateCurve, ValidationError
 
 from conftest import ALL_POLICIES
-from oracles import reference_queues, sojourn_weights
+from oracles import lps_transform_dense, reference_queues, sojourn_weights
 
 
 def closed_form_b5(s):
@@ -110,6 +110,22 @@ def sample_points(rng, shape):
     s = rng.uniform(0, 5, shape) + 1j * rng.uniform(-5, 5, shape)
     s.flat[:3] = (0.0, 1e-6, -1e-6)
     return s
+
+
+def inversion_nodes(t_max, points=300):
+    """Every point at which ``invert`` evaluates a transform on a grid of
+    ``points`` times out to ``t_max``: the Talbot nodes, some in the left
+    half-plane, then the Euler nodes."""
+    nodes = []
+
+    def record(s):
+        nodes.append(s.reshape(-1))
+        return np.ones(s.shape, dtype=complex)
+
+    grid = np.linspace(t_max / points, t_max, points)
+    ilt.talbot(record, grid)
+    ilt.euler(record, grid)
+    return np.concatenate(nodes)
 
 
 def test_constant_rate_means_are_position_over_rate():
@@ -307,6 +323,20 @@ def test_density_matches_mpmath_oracle(b5_spec):
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def test_inversion_flags_where_talbot_and_euler_disagree():
+    """1 / sqrt(s^2 + 1), the transform of the Bessel function J0, has branch
+    points at +-i: the Euler line passes right of them, but the Talbot
+    contour crosses the cut. Exactly the checked points whose gap exceeds
+    the tolerance are flagged."""
+    grid = np.linspace(0.2, 3.0, 15)
+    res = systemtime.invert(lambda s: 1.0 / np.sqrt(s * s + 1.0), grid)
+    assert res.flagged.any()
+    gaps = dict(res.checked)
+    for i, t in enumerate(grid):
+        over = t in gaps and gaps[t] > systemtime.CHECK_TOL * max(1.0, abs(res.density[i]))
+        assert res.flagged[i] == over
+
+
 def test_jsq_density_vanishes_at_zero(b5_spec):
     rep = stationary.solve_jsq(b5_spec)
     dist = systemtime.distribution(b5_spec, Policy("jsq"), rep)
@@ -329,10 +359,25 @@ def test_lps_mpl_one_reduces_to_fifo():
     rep = stationary.solve_random(spec)
     fifo = systemtime.transform(spec, Policy("random"), rep)
     lps = systemtime.mean_sojourn_lps(spec, Policy("random"), rep)
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        s = complex(rng.uniform(0, 4), rng.uniform(-4, 4))
-        assert abs(lps(s) - fifo(s)) < 1e-12
+    s = np.concatenate((inversion_nodes(10.0), sample_points(np.random.default_rng(12), 50)))
+    assert lps(s).tobytes() == fifo(s).tobytes()
+    assert lps(1 + 2j) == fifo(1 + 2j)
+
+
+@pytest.mark.parametrize("policy", [Policy("random"), Policy("jsqd", d=2), Policy("jbt")],
+                         ids=lambda p: p.label())
+def test_lps_matches_dense_oracle(hom_spec, het_spec, b37_spec, policy):
+    """The tridiagonal sweep and the recursion agree with the tagged job's
+    dense generator solved point by point, at every node that inverting a
+    300-point density out to 15 means reaches and at random points."""
+    for spec in (hom_spec, het_spec, b37_spec):
+        rep = stationary.solve(spec, policy)
+        mean, _ = systemtime.mean_sojourn(spec, policy, rep)
+        s = np.concatenate((inversion_nodes(15.0 * mean),
+                            sample_points(np.random.default_rng(31), 200)))
+        got = systemtime.mean_sojourn_lps(spec, policy, rep)(s)
+        want = lps_transform_dense(spec, policy, rep, s)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 @pytest.mark.parametrize("policy", [Policy("random"), Policy("jsqd", d=2), Policy("jbt")],
