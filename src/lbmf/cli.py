@@ -33,43 +33,19 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(header)
-        out.writerows([_fmt(x) for x in row] for row in rows)
-
-
-def _trajectory_rows(traj):
-    for s, t in enumerate(traj.times):
-        for k, part in enumerate(traj.parts):
-            for i, frac in enumerate(part[s]):
-                yield (float(t), k, i, float(frac))
+        out.writerows([format(x, ".17g") if isinstance(x, float) else str(x) for x in row]
+                      for row in rows)
 
 
 def write_trajectory_csv(path: Path, traj):
-    _write_csv(path, ["t", "k", "i", "fraction"], _trajectory_rows(traj))
-
-
-def write_sojourns_csv(path: Path, result: sim.SimResult):
-    rows = zip(result.arrival_time, result.departure_time,
-               result.server_type, result.length_seen)
-    _write_csv(path, ["arrival", "departure", "type", "length_seen"],
-               ((float(a), float(d), int(k), int(s)) for a, d, k, s in rows))
-
-
-def write_loss_csv(path: Path, result: sim.SimResult):
-    frac = result.losses / result.arrivals if result.arrivals else 0.0
-    _write_csv(path, ["arrivals", "admitted", "lost", "loss_fraction"],
-               [(result.arrivals, result.admitted, result.losses, frac)])
+    parts = [part.tolist() for part in traj.parts]
+    _write_csv(path, ["t", "k", "i", "fraction"],
+               ((t, k, i, frac) for s, t in enumerate(traj.times.tolist())
+                for k, part in enumerate(parts) for i, frac in enumerate(part[s])))
 
 
 def parse_policy_name(text: str) -> Policy:
@@ -123,8 +99,12 @@ def cmd_transient(args) -> int:
         res = sim.run(spec, policy, n=n, horizon=run.horizon,
                       seed=run.seed, sample_interval=run.sample_interval)
         write_trajectory_csv(out / "sim_trajectory.csv", res.trajectory)
-        write_sojourns_csv(out / "sim_sojourns.csv", res)
-        write_loss_csv(out / "sim_loss.csv", res)
+        _write_csv(out / "sim_sojourns.csv", ["arrival", "departure", "type", "length_seen"],
+                   zip(res.arrival_time.tolist(), res.departure_time.tolist(),
+                       res.server_type.tolist(), res.length_seen.tolist()))
+        _write_csv(out / "sim_loss.csv", ["arrivals", "admitted", "lost", "loss_fraction"],
+                   [(res.arrivals, res.admitted, res.losses,
+                     res.losses / res.arrivals if res.arrivals else 0.0)])
     return EXIT_OK
 
 

@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, repeat
 from time import perf_counter
 
@@ -412,16 +413,6 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     )
 
 
-def replication_seeds(seed, r: int):
-    return np.random.SeedSequence(seed).spawn(r)
-
-
-def _replicate_one(args):
-    spec, policy, n, horizon, sample_interval, window, child = args
-    return run(spec, policy, n, horizon, seed=child, sample_interval=sample_interval,
-               window=window)
-
-
 def workers() -> int:
     """The LBMF_THREADS environment variable, 1 if unset; one that is not an
     integer is a ``ConfigError``."""
@@ -443,12 +434,13 @@ def replicate(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
     """
     if r < 1:
         raise ValueError("replication count must be >= 1")
-    children = replication_seeds(seed, r)
-    jobs = [(spec, policy, n, horizon, sample_interval, window, child) for child in children]
+    one = partial(run, spec, policy, n, horizon, sample_interval=sample_interval,
+                  window=window)
+    seeds = np.random.SeedSequence(seed).spawn(r)
     cap = workers()
     if cap > 1 and r > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(cap, r)) as pool:
-            return list(pool.map(_replicate_one, jobs))
-    return [_replicate_one(job) for job in jobs]
+            return list(pool.map(one, seeds))
+    return list(map(one, seeds))

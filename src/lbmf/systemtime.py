@@ -32,7 +32,6 @@ mpl + 1, so the waiting rows are the recursion started from H1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 
 import numpy as np
 
@@ -65,9 +64,10 @@ class _Queue:
 
     def add_transform(self, s, acc, mpl=0):
         """Add the entry-weighted diagonal H[j, j] of the transform recursion
-        at the 1-D complex points ``s`` into ``acc``; H[j, j] is final after
-        row j. Under limited processor sharing at level ``mpl`` a job that
-        enters at j <= mpl is in service, and its entry is H1[j]."""
+        at the complex points ``s``, an array of any shape, into ``acc`` of
+        that shape; H[j, j] is final after row j. Under limited processor
+        sharing at level ``mpl`` a job that enters at j <= mpl is in
+        service, and its entry is H1[j]."""
         row, start = [1.0] * len(self.mu) + [0.0], 1
         if mpl:
             row, start = _service_row(self, mpl, s), mpl + 1
@@ -139,8 +139,8 @@ def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     return float(mean), tables
 
 
-def _pointwise(parts):
-    """Evaluator over s summing the contributions ``part(flat_s, acc)``.
+def _pointwise(queues, mpls):
+    """Evaluator over s summing each type's ``add_transform`` at its ``mpl``.
 
     ``s`` may be a complex scalar, which gives a Python complex back, or an
     ndarray of complex points, which gives an array of the same shape.
@@ -148,12 +148,10 @@ def _pointwise(parts):
 
     def evaluate(s):
         points = np.asarray(s, dtype=complex)
-        flat = points.reshape(-1)
-        acc = np.zeros(flat.shape, dtype=complex)
-        for part in parts:
-            part(flat, acc)
-        out = acc.reshape(points.shape)
-        return complex(out) if np.isscalar(s) else out
+        acc = np.zeros(points.shape, dtype=complex)
+        for q, mpl in zip(queues, mpls):
+            q.add_transform(points, acc, mpl)
+        return complex(acc) if np.isscalar(s) else acc
 
     return evaluate
 
@@ -169,7 +167,7 @@ def transform(spec: ClusterSpec, policy: Policy, report: StationaryReport):
     loss probability; divide by that mass for the proper density.
     """
     _check_regime(policy, report)
-    return _pointwise([q.add_transform for q in _queues(spec, report)])
+    return _pointwise(_queues(spec, report), [0] * spec.k)
 
 
 @dataclass
@@ -189,14 +187,15 @@ def invert(evaluator, t_grid) -> DensityResult:
     """Invert a transform on a positive time grid with the Talbot rule.
 
     ``CHECK_POINTS`` grid points are re-inverted with the Euler method;
-    points where the two disagree beyond ``CHECK_TOL`` are flagged as
-    unreliable rather than rejected.
+    points where the two disagree beyond ``CHECK_TOL``, or where the gap is
+    NaN, are flagged as unreliable rather than rejected, and so is every
+    point whose Talbot value is not finite.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (np.diff(t_grid) <= 0).any() or (t_grid <= 0).any():
         raise ValueError("t_grid must be strictly positive and increasing")
     density = ilt.talbot(evaluator, t_grid)
-    flagged = np.zeros(len(t_grid), dtype=bool)
+    flagged = ~np.isfinite(density)
     checked = []
     rng = np.random.default_rng(0)
     idx = sorted(set(rng.integers(0, len(t_grid), size=min(CHECK_POINTS, len(t_grid)))))
@@ -204,7 +203,7 @@ def invert(evaluator, t_grid) -> DensityResult:
     for i, val in zip(idx, other):
         gap = abs(val - density[i])
         checked.append((float(t_grid[i]), gap))
-        if gap > CHECK_TOL * max(1.0, abs(density[i])):
+        if not gap <= CHECK_TOL * max(1.0, abs(density[i])):  # a NaN gap flags too
             flagged[i] = True
     return DensityResult(t=t_grid, density=density, flagged=flagged, checked=checked)
 
@@ -245,8 +244,7 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
         )
     _check_regime(policy, report)
     ValidationError.check(mpl_violations(spec, "lps"))
-    return _pointwise([partial(q.add_transform, mpl=int(t.mpl))
-                       for q, t in zip(_queues(spec, report), spec.types)])
+    return _pointwise(_queues(spec, report), [int(t.mpl) for t in spec.types])
 
 
 def _service_row(q: _Queue, mpl, s):

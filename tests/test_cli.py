@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lbmf import cli
-from lbmf.model import ConvergenceError, parse_config
+from lbmf import cli, stationary
+from lbmf.model import ConvergenceError, ValidationError, parse_config, validate
 
 from conftest import HOM_MU
 
@@ -106,6 +106,34 @@ def test_table_error_cell_with_comma_stays_one_field(tmp_path):
     assert all(len(r) == 6 for r in [header] + rows)
     bad = [r for r in rows if r[0] == "jsqd(0)"]
     assert bad and all(r[3] == "ERROR: jsqd requires d >= 1, got 0" for r in bad)
+
+
+def test_table_jsq_tight_unequal_buffers_is_an_error_cell(tmp_path):
+    """A spec that ``validate`` accepts but whose jsq target level 2 is
+    above one type's buffer of 1: ``stationary.solve`` refuses it, so
+    ``table`` writes an error cell for jsq, a number for random, and exits 0.
+    This pins the documented gap in ``stationary.solve_jsq``."""
+    doc = {"lambda": 1.5,
+           "types": [{"gamma": 0.3, "mu": [2.0]},
+                     {"gamma": 0.3, "mu": [1.0, 2.0, 3.0, 3.0]},
+                     {"gamma": 0.4, "mu": [1.0, 1.5, 2.0, 2.5, 3.0, 3.0]}],
+           "policy": {"kind": "jsq"},
+           "run": {"n_servers": 100, "horizon": 10.0, "dt": 0.01, "seed": 1,
+                   "sample_interval": 1.0}}
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(doc))
+    spec, policy, _ = parse_config(cfg.read_text())
+    assert validate(spec, policy) == []
+    message = "jsq target level 2 exceeds the buffer of some type"
+    with pytest.raises(ValidationError, match=message):
+        stationary.solve(spec, policy)
+    out = tmp_path / "out"
+    assert cli.main(["table", "--config", str(cfg), "--out", str(out), "--n", "inf",
+                     "--policies", "jsq,random"]) == 0
+    _, rows = read_csv(out / "table.csv")
+    assert [r[1] for r in rows] == ["entire", "type0", "type1", "type2"] * 2
+    assert all(r[3].startswith(f"ERROR: {message}") for r in rows if r[0] == "jsq")
+    assert all(math.isfinite(float(r[3])) for r in rows if r[0] == "random")
 
 
 def test_table_malformed_thread_count_names_the_variable(tmp_path, monkeypatch, capsys):
@@ -445,6 +473,12 @@ GOLDEN_CLI_DIGESTS = {
         "random": "8092216a2d1e6fa9", "jiq": "e73b9b5a819755e3",
         "jsq": "3747b58bbc71557b", "jbt": "9ec07f1f818923fb",
     },
+    "overlay": {
+        "jiq": {"sim_trajectory.csv": "9ec71ef09d297df7",
+                "sim_sojourns.csv": "c5d05a20a898ed9e", "sim_loss.csv": "44df6abeb3d1d108"},
+        "jsqd:2": {"sim_trajectory.csv": "3d3024c466ac1275",
+                   "sim_sojourns.csv": "ec7abd30f5c95394", "sim_loss.csv": "84ecb6a78763c33f"},
+    },
 }
 
 
@@ -456,9 +490,11 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
     """``transient`` on the heterogeneous cluster to horizon 3, per policy,
     ``table`` on the homogeneous one, at ``--n inf`` and simulated at
     ``--n 200``, and the simulated histogram of ``dist`` on the buffer-5
-    cluster to horizon 40, per policy, are pinned byte for byte. The
-    histogram's bins come from ``--t-max``, not from the solved mean, so no
-    LAPACK call moves them; ``density.csv`` is not pinned, for that reason."""
+    cluster to horizon 40, per policy, are pinned byte for byte, and so are
+    the simulated files of ``transient --overlay-sim`` on 100 servers of
+    that cluster to horizon 10, where some jobs are lost. The histogram's
+    bins come from ``--t-max``, not from the solved mean, so no LAPACK call
+    moves them; ``density.csv`` is not pinned, for that reason."""
     doc = json.loads((CONFIGS / "heterogeneous.json").read_text())
     doc["run"]["horizon"] = 3.0
     cfg = tmp_path / "het.json"
@@ -489,6 +525,14 @@ def test_cli_outputs_match_recorded_digests(tmp_path):
         assert cli.main(["dist", "--config", str(cfg), "--out", str(out), "--policy", policy,
                          "--points", "50", "--t-max", "12"]) == 0
         got["dist"][policy] = _digest(out / "hist.csv")
+    doc["run"].update(horizon=10.0, n_servers=100)
+    cfg.write_text(json.dumps(doc))
+    got["overlay"] = {}
+    for policy, files in GOLDEN_CLI_DIGESTS["overlay"].items():
+        out = tmp_path / f"overlay-{policy.replace(':', '')}"
+        assert cli.main(["transient", "--config", str(cfg), "--out", str(out),
+                         "--policy", policy, "--overlay-sim"]) == 0
+        got["overlay"][policy] = {name: _digest(out / name) for name in files}
     assert got == GOLDEN_CLI_DIGESTS
 
 

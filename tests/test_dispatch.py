@@ -205,6 +205,23 @@ def test_partial_is_convex_combination(hom_spec):
         assert np.allclose(a, 0.3 * b + 0.7 * c, atol=1e-15)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda x, b, spec: f_jsqd_limit(x, b, 0), r"^d must be >= 1, got 0$"),
+    (lambda x, b, spec: f_partial(f_random(x, b), x, 0.0),
+     r"^control must be in \(0, 1\], got 0.0$"),
+    (lambda x, b, spec: f_partial(f_random(x, b), x, 1.5),
+     r"^control must be in \(0, 1\], got 1.5$"),
+    (lambda x, b, spec: field(x, spec, Policy("lifo")), r"^unknown policy kind 'lifo'$")],
+    ids=["jsqd-d0", "control-0", "control-1.5", "unknown-kind"])
+def test_field_functions_refuse_bad_arguments(hom_spec, call, match):
+    """Called directly, without ``validate``, the field functions refuse a
+    choice count below 1, a control outside (0, 1] and an unknown policy
+    kind, naming the value."""
+    x, buffers = occ([0, 0.4, 0.3, 0.2, 0.1, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=match):
+        call(x, buffers, hom_spec)
+
+
 # --- generic invariants --------------------------------------------------------
 
 @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.label())

@@ -170,6 +170,15 @@ def test_stationarity_fails_at_discontinuous_attractor(hom_spec):
     assert state[3] + state[4] > 0.95  # parked at the two-point attractor
 
 
+def test_integrate_stops_at_a_non_finite_state(hom_spec):
+    """A NaN in the start state spreads through the step; the first sample
+    that holds one raises, naming its time."""
+    v0 = Occupancy([np.array([np.nan] + [0.0] * hom_spec.types[0].buffer)])
+    with pytest.raises(ConvergenceError, match=r"^non-finite state at t=0.5$"):
+        ode.integrate(v0, hom_spec, Policy("random"), horizon=1.0, dt=0.01,
+                      sample_interval=0.5)
+
+
 def test_partial_control_shifts_minimum_level(hom_spec):
     """Mixing in uncontrolled traffic lowers the bulk's starting level."""
     traj = ode.integrate(Occupancy.empty(hom_spec), hom_spec,

@@ -192,7 +192,7 @@ def test_replicate_order_independent(hom_spec, monkeypatch):
 
 def test_replicate_single_is_plain_run(hom_spec, monkeypatch):
     monkeypatch.setenv("LBMF_THREADS", "1")
-    child = sim.replication_seeds(7, 1)[0]
+    child = np.random.SeedSequence(7).spawn(1)[0]
     direct = sim.run(hom_spec, Policy("random"), n=100, horizon=10, seed=child,
                      sample_interval=1.0)
     reps = sim.replicate(hom_spec, Policy("random"), n=100, horizon=10, seed=7,

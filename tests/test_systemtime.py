@@ -337,6 +337,25 @@ def test_inversion_flags_where_talbot_and_euler_disagree():
         assert res.flagged[i] == over
 
 
+def test_inversion_flags_nan_points():
+    """exp(-s) / s overflows on the Talbot contour near t = 1, so the first
+    nine densities read NaN, and so do seven of the eight checked gaps:
+    every NaN density is flagged, t = 1.08 for its finite gap over the
+    tolerance, and only t = 1.1, unchecked, is clean."""
+    with np.errstate(all="ignore"):
+        res = systemtime.invert(lambda s: np.exp(-s) / s, np.linspace(0.9, 1.1, 11))
+    assert np.isnan(res.density).tolist() == [True] * 9 + [False] * 2
+    assert sum(np.isnan(gap) for _, gap in res.checked) == 7
+    assert res.flagged.tolist() == [True] * 10 + [False]
+
+
+@pytest.mark.parametrize("grid", [[1.0, 1.0, 2.0], [2.0, 1.0], [0.0, 1.0], [-1.0, 1.0]],
+                         ids=["repeated", "decreasing", "zero", "negative"])
+def test_inversion_refuses_bad_grid(grid):
+    with pytest.raises(ValueError, match="^t_grid must be strictly positive and increasing$"):
+        systemtime.invert(lambda s: 1.0 / (s + 1.0), grid)
+
+
 def test_jsq_density_vanishes_at_zero(b5_spec):
     rep = stationary.solve_jsq(b5_spec)
     dist = systemtime.distribution(b5_spec, Policy("jsq"), rep)
