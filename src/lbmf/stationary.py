@@ -13,10 +13,11 @@ at the floor i0 (``_critical``). Supercritical JIQ balances its refill rate
 ``z0`` at its floor 1 against the residual rate lam - z0 above it, and JBT
 the mass y below the thresholds, which receive lam / y. JSQ(d) balances the
 arrival rate per server at each length, which all types share: bisection on
-the idle mass of one pooled type with the capacity curve, then Newton
-stages of a homotopy from the pooled rates to each type's own. ``solve``
-refuses what ``model.validate`` refuses; a solver called on its own refuses
-a type that does not serve (``model.serving_violations``) and its own limits.
+the idle mass of one pooled type with the capacity curve, whose shoot stops
+once its chain runs out, then Newton stages of a homotopy from the pooled
+rates to each type's own. ``solve`` refuses what ``model.validate``
+refuses; a solver called on its own refuses a type that does not serve
+(``model.serving_violations``) and its own limits.
 """
 
 from __future__ import annotations
@@ -160,19 +161,26 @@ def _two_level(spec, i0: int, regime) -> StationaryReport:
 
     Type k then keeps p_k = gamma_k mu_k(i0) / (w + mu_k(i0)) at the lower
     level, and the throughput sum(p_k (w + mu_k(i0-1))) rises in w from the
-    capacity at i0 - 1 to the one at i0; w solves throughput = lam. Also
-    serves subcritical JIQ and JSQ (i0 = 1, where mu(0) = 0).
+    capacity at i0 - 1 to the one at i0; w solves throughput = lam, by
+    bisection on Python floats. Also serves subcritical JIQ and JSQ (i0 = 1,
+    where mu(0) = 0).
     """
     lam = spec.lam
     gammas = spec.gammas()
     mu_lo, mu_hi = spec.rates[:, i0 - 1], spec.rates[:, i0]
+    per_type = list(zip(gammas.tolist(), mu_lo.tolist(), mu_hi.tolist()))
 
     def lower(w):
         return gammas * mu_hi / (w + mu_hi)
 
+    def excess(w):
+        # (lower(w) * (w + mu_lo)).sum() on floats, in the same order: numpy
+        # adds fewer than eight entries, one per type, left to right from 0.0
+        return left_sum(g * hi / (w + hi) * (w + lo) for g, lo, hi in per_type) - lam
+
     # throughput >= cap(i0) - sum(gamma mu_hi (mu_hi - mu_lo)) / w bounds the root
     w_max = float((gammas * mu_hi * (mu_hi - mu_lo)).sum()) / (spec.capacity(i0) - lam)
-    w = _bisect(lambda w: float((lower(w) * (w + mu_lo)).sum()) - lam, 0.0, w_max)
+    w = _bisect(excess, 0.0, w_max)
     p = lower(w)
     arrivals = np.zeros(spec.rates.shape)
     arrivals[:, i0 - 1] = w
@@ -242,17 +250,27 @@ def _dd(a, b, d):
 def _pooled_rates(lam, cap, d):
     """Level arrival rates of one type with rates cap[i], shooting up from
     the largest idle mass whose chain does not run out before the buffer.
-    ``cap`` is a list: the shoot runs about twice as fast on Python floats
-    as on numpy scalars, with the same IEEE operations."""
-    def shoot(m0):
-        z, m, alpha = 1.0, m0, []
+    A shoot in the bisection stops at the level where its chain runs out:
+    from there z is 0 and m stays >= 0, so the mass it wants at the buffer
+    beyond what is left, m - z, is >= 0 whatever the levels above compute.
+    One last shoot at the root keeps the rates. ``cap`` is a list: the shoot
+    runs about twice as fast on Python floats as on numpy scalars, with the
+    same IEEE operations."""
+    def excess(m0):
+        z, m = 1.0, m0
         for c in cap:
-            nz = max(z - m, 0.0)
-            alpha.append(lam * _dd(z, nz, d))
-            z, m = nz, m * alpha[-1] / c
-        return m - z, alpha  # mass wanted at the buffer beyond what is left
+            nz = z - m
+            if nz <= 0.0:  # run out, so m - z >= 0; a NaN shoots on
+                return 0.0
+            z, m = nz, m * (lam * _dd(z, nz, d)) / c
+        return m - z
 
-    return np.array(shoot(_bisect(lambda m0: shoot(m0)[0], 0.0, 1.0))[1])
+    z, m, alpha = 1.0, _bisect(excess, 0.0, 1.0), []
+    for c in cap:
+        nz = max(z - m, 0.0)
+        alpha.append(lam * _dd(z, nz, d))
+        z, m = nz, m * alpha[-1] / c
+    return np.array(alpha)
 
 
 def _newton(f, x, tol):

@@ -403,6 +403,40 @@ def lps_transform_dense(spec, policy, report, s, block=256):
     return out
 
 
+def pooled_rates_every_level(lam, cap, d):
+    """Level arrival rates of one pooled JSQ(d) type with rates ``cap[i]``,
+    each shoot running to the buffer: z[i + 1] = max(z[i] - m[i], 0),
+    alpha[i] = lam (z[i]**d - z[i+1]**d) / (z[i] - z[i+1]) as the sum of
+    z[i]**j z[i+1]**(d-1-j), and m[i + 1] = m[i] alpha[i] / cap[i]. The idle
+    mass m[0] is bisected, at midpoints only, until the midpoint rounds to
+    an end of its bracket; a shoot that wants more mass at the buffer than
+    is left raises it."""
+    def dd(a, b):
+        h = p = 1.0
+        for _ in range(d - 1):
+            p = p * a
+            h = h * b + p
+        return h
+
+    def shoot(m0):
+        z, m, alpha = 1.0, m0, []
+        for c in cap:
+            nz = max(z - m, 0.0)
+            alpha.append(lam * dd(z, nz))
+            z, m = nz, m * alpha[-1] / c
+        return m - z, alpha
+
+    lo, hi = 0.0, 1.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if shoot(mid)[0] < 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return np.array(shoot(mid)[1])
+
+
 def sojourn_weights(spec, policy, report):
     """Entry weights (k, entry length, weight) of the system-time recursion
     in the report's regime."""

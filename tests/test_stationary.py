@@ -1,14 +1,20 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lbmf import ode, stationary, systemtime
 from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
-                        ServerType, ServiceRateCurve, ValidationError, left_sum)
+                        ServerType, ServiceRateCurve, ValidationError, left_sum,
+                        parse_config)
 
 from conftest import ALL_POLICIES
-from oracles import CONTINUOUS_REGIMES, mm1b_mean_system_time, reference_queues
+from oracles import (CONTINUOUS_REGIMES, mm1b_mean_system_time, pooled_rates_every_level,
+                     reference_queues)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_random_truncated_geometric():
@@ -401,3 +407,101 @@ def test_report_rates_match_dispatch_reference(hom_spec, het_spec, b5_spec):
             assert_rates_match_reference(spec, policy, stationary.solve(spec, policy))
     for spec, policy in sweep_cases():
         assert_rates_match_reference(spec, policy, stationary.solve(spec, policy))
+
+
+# SHA-256 (first 16 hex digits) of the bytes of nu, arrivals, loss_prob and
+# lambda_eff of ``solve``. No LAPACK call makes these reports, so they pin
+# the two-level, supercritical JIQ and JBT bisections bit for bit; b266_spec
+# at lambda 0.7 runs jsq and jiq through the two-level balance over three types.
+REPORT_DIGESTS = {
+    ("het_spec", "jsq"): "eef2f7d4eb490dff",
+    ("het_spec", "jiq"): "6a33a2819fc1b89f",
+    ("het_spec", "jbt"): "a22e3c228f43eea9",
+    ("b37_spec", "jsq"): "4113b73767922cc6",
+    ("b37_spec", "jiq"): "508c6009a1529017",
+    ("b37_spec", "jbt"): "bb6d8fa88a6335a8",
+    ("b266_spec@0.7", "jsq"): "899c3f5ff092291d",
+    ("b266_spec@0.7", "jiq"): "899c3f5ff092291d",
+}
+
+
+def _spec(request, name):
+    fixture, _, lam = name.partition("@")
+    spec = request.getfixturevalue(fixture)
+    return ClusterSpec(lam=float(lam), types=spec.types) if lam else spec
+
+
+@pytest.mark.parametrize("name, kind", list(REPORT_DIGESTS))
+def test_report_matches_recorded_digest(request, name, kind):
+    rep = stationary.solve(_spec(request, name), Policy(kind))
+    h = hashlib.sha256(rep.nu.array.tobytes() + rep.arrivals.tobytes()
+                       + np.array([rep.loss_prob, *rep.lambda_eff]).tobytes())
+    assert h.hexdigest()[:16] == REPORT_DIGESTS[name, kind]
+
+
+def capacity_curve(spec):
+    """The pooled type's rates, as ``solve_jsqd`` builds them."""
+    return [spec.capacity(i) for i in range(1, max(spec.buffers) + 1)]
+
+
+# SHA-256 (first 16 hex digits) of the ``_pooled_rates`` bytes at d = 1, 2,
+# 5, 20 and 100, at 0.3 and 1 - 1e-5 of each fixture's full capacity; the
+# shoot is pure Python, with no LAPACK call.
+POOLED_DIGESTS = {"hom_spec": "9ac3d0e9674e9932", "het_spec": "06b8ae6af19d80f0",
+                  "b37_spec": "a55c8024a3a3fc7c", "b5_spec": "9606b8a85b0b986e",
+                  "b266_spec": "de3082426c3a3413"}
+
+
+@pytest.mark.parametrize("fixture", list(POOLED_DIGESTS))
+def test_pooled_rates_match_recorded_digest(request, fixture):
+    cap = capacity_curve(request.getfixturevalue(fixture))
+    h = hashlib.sha256()
+    for rho in (0.3, 1 - 1e-5):
+        for d in (1, 2, 5, 20, 100):
+            h.update(stationary._pooled_rates(rho * cap[-1], cap, d).tobytes())
+    assert h.hexdigest()[:16] == POOLED_DIGESTS[fixture]
+
+
+def test_pooled_rates_match_every_level_shoot(request):
+    """The bisection's shoot stops where its chain runs out, and returns the
+    same rates, bit for bit, as shoots that run every level to the buffer:
+    on each fixture and shipped config, at seeded loads from 1% of full
+    capacity to 1 - 1e-6 of it. At d = 1 every level gets lam."""
+    curves = [capacity_curve(request.getfixturevalue(f)) for f in POOLED_DIGESTS]
+    curves += [capacity_curve(parse_config(path.read_text())[0])
+               for path in sorted(CONFIGS.glob("*.json"))]
+    rng = np.random.default_rng(11)
+    for cap in curves:
+        for rho in (0.01, *rng.uniform(0.01, 1.0, 3), 1 - 1e-6):
+            lam = rho * cap[-1]
+            for d in (1, 2, 3, 5, 20, 100):
+                got = stationary._pooled_rates(lam, cap, d)
+                assert got.tobytes() == pooled_rates_every_level(lam, cap, d).tobytes(), (cap, lam, d)
+                assert d > 1 or (got == lam).all()
+
+
+def test_pooled_shoots_stop_where_their_chain_runs_out(het_spec, monkeypatch):
+    """A shoot whose idle mass runs out before the buffer has settled its
+    sign, so it stops there: on the heterogeneous cluster at d = 2 the
+    bisection's shoots and the last one at the root take fewer divided
+    differences than one per level each."""
+    calls = shoots = 0
+    dd, bisect = stationary._dd, stationary._bisect
+
+    def counted_dd(a, b, d):
+        nonlocal calls
+        calls += 1
+        return dd(a, b, d)
+
+    def counted_bisect(f, lo, hi):
+        def g(x):
+            nonlocal shoots
+            shoots += 1
+            return f(x)
+        return bisect(g, lo, hi)
+
+    monkeypatch.setattr(stationary, "_dd", counted_dd)
+    monkeypatch.setattr(stationary, "_bisect", counted_bisect)
+    cap = capacity_curve(het_spec)
+    stationary._pooled_rates(het_spec.lam, cap, 2)
+    assert shoots > 40 and calls < len(cap) * (shoots + 1)
