@@ -9,8 +9,10 @@ send to full queues is reported on a separate loss channel, so field
 entries at a type's buffer level are always zero. The finite-cluster
 simulator picks targets by the same rules on server counts.
 
-The ODE calls a field up to a dozen times per step on a few dozen entries,
-so the fields loop over floats rather than pay numpy's per-call overhead.
+The ODE calls a field twice per sub-step, at most 64 sub-steps per step
+(about 12 calls per step for jsq and jiq on the heterogeneous cluster at
+horizon 3, 2 for smooth fields), on a few dozen entries, so the fields
+loop over floats rather than pay numpy's per-call overhead.
 Their rounding is fixed, so that recorded trajectories and CLI outputs
 keep their bits: sums over types run left to right from 0.0, as numpy adds
 fewer than eight entries, and the JSQ(d) tail powers are one numpy call,
@@ -86,24 +88,26 @@ def f_jiq(x: list, buffers) -> DispatchField:
 def f_jsq(x: list, buffers) -> DispatchField:
     """All arrivals to the minimal occupied queue length, split by type mass.
 
-    One pass from length 0 up: each level's clipped masses are summed over
-    types until a level holds more than ``ZERO_MASS``, and only that column
-    is filled; a type whose buffer is that level sends its share to loss.
+    One pass from length 0 up: each level's positive entries are summed over
+    types (adding the others' clipped 0.0 would change no bit) until a level
+    holds more than ``ZERO_MASS``, and only that column is filled; a type
+    whose buffer is that level sends its share to loss.
     """
-    f = [[0.0] * len(x[0]) for _ in x]
     for i in range(len(x[0])):
-        col = [row[i] if row[i] > 0.0 else 0.0 for row in x]
         mass = 0.0
-        for v in col:
-            mass += v
+        for row in x:
+            if row[i] > 0.0:
+                mass += row[i]
         if mass > ZERO_MASS:
             break
-    else:
+    f = [[0.0] * len(x[0]) for _ in x]
+    if mass <= ZERO_MASS:
         # only a direct call on rows of total mass at most (B + 1) * ZERO_MASS gets
         # here, never an integrator state (mass 1); all is lost, as numpy's pairwise sum
         return DispatchField(f, float(np.sum(_clip(x))), buffers)
     loss = 0.0
-    for row, v, b in zip(f, col, buffers):
+    for row, xr, b in zip(f, x, buffers):
+        v = xr[i] if xr[i] > 0.0 else 0.0
         if b == i:
             loss += v / mass
         else:

@@ -13,7 +13,7 @@ the boundary of the occupancy simplex the hard part:
   and freeze the trajectory;
 * one boundary sweep clears each type's entries below a floor into its
   largest entry, keeping type masses exact: ``v0`` once, then negative
-  overshoot and residue below DUST at the end of each sub-step.
+  overshoot and residue below DUST after each sub-step, in rows holding either.
 
 Fields are evaluated verbatim on the current state (no sliding-mode
 construction); near a discontinuous attractor the trajectory hovers within
@@ -45,13 +45,13 @@ DUST = 1e-13
 
 
 def _deriv(rates, lam, x, f):
-    """Derivative rows of state rows x under field rows f: arrivals move
-    mass one level up, service one level down."""
+    """Derivative rows of state rows x under field rows f and rate rows paired
+    as (r, r[1:] + [0.0]): arrivals move mass one level up, service one down."""
     out = []
-    for r, xr, fr in zip(rates, x, f):
+    for (r, r_up), xr, fr in zip(rates, x, f):
         out.append([lam * f_in - lam * f_out + r_in * x_in - r_out * x_out
                     for f_in, f_out, r_in, x_in, r_out, x_out
-                    in zip([0.0] + fr, fr, r[1:] + [0.0], xr[1:] + [0.0], r, xr)])
+                    in zip([0.0] + fr, fr, r_up, xr[1:] + [0.0], r, xr)])
     return out
 
 
@@ -59,12 +59,19 @@ def rhs(v: Occupancy, spec: ClusterSpec, policy: Policy):
     """Time derivative of the occupancy, as a padded array like
     ``v.array``; each type's row sums to zero."""
     x = v.array.tolist()
+    rates = [(r, r[1:] + [0.0]) for r in spec.rates.tolist()]
     f = dispatch.field(x, spec, policy)
-    return np.array(_deriv(spec.rates.tolist(), spec.lam, x, f.rows))
+    return np.array(_deriv(rates, spec.lam, x, f.rows))
 
 
-def _support(f):
-    return [[v > dispatch.ZERO_MASS for v in row] for row in f.rows]
+def _same_support(f1, f2):
+    """Whether f1 and f2 exceed ZERO_MASS at the same entries, read to the first difference."""
+    zero = dispatch.ZERO_MASS
+    for r1, r2 in zip(f1.rows, f2.rows):
+        for a, b in zip(r1, r2):
+            if (a > zero) != (b > zero):
+                return False
+    return True
 
 
 def _sweep(x, lo):
@@ -80,6 +87,16 @@ def _sweep(x, lo):
                         s += w
                         row[i] = 0.0
                 row[top] += s
+                break
+    return x
+
+
+def _sweep_dust(x):
+    """``_sweep(_sweep(x, 0.0), DUST)``, run only on rows with a nonzero entry below DUST."""
+    for row in x:
+        for v in row:
+            if v < DUST and v != 0.0:
+                _sweep(_sweep([row], 0.0), DUST)
                 break
     return x
 
@@ -100,9 +117,8 @@ def _advance(x, rates, spec, policy, dt):
         half = 0.5 * h
         mid = [[v + half * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k1)]
         f2 = dispatch.field(mid, spec, policy)
-        k = _deriv(rates, lam, mid, f2.rows) if _support(f1) == _support(f2) else k1
-        x = _sweep(_sweep([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)],
-                          0.0), DUST)
+        k = _deriv(rates, lam, mid, f2.rows) if _same_support(f1, f2) else k1
+        x = _sweep_dust([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)])
         remaining -= h
         if remaining <= 1e-12 * dt:
             break
@@ -125,7 +141,7 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
     x = _sweep(v0.array.tolist(), DUST)
-    rates = spec.rates.tolist()
+    rates = [(r, r[1:] + [0.0]) for r in spec.rates.tolist()]
     traj = np.empty((n_samples,) + v0.array.shape)
     traj[0] = v0.array
     for s in range(1, n_samples):

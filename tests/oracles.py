@@ -437,6 +437,31 @@ def pooled_rates_every_level(lam, cap, d):
     return np.array(shoot(mid)[1])
 
 
+def jsq_by_columns(x, buffers):
+    """JSQ field of padded rows x as the column-list form computes it: each
+    level's clipped column is built as a list and summed left to right from
+    0.0 until a level holds more than ZERO_MASS; only that column is filled,
+    and a type whose buffer is that level sends its share to loss."""
+    f = [[0.0] * len(x[0]) for _ in x]
+    for i in range(len(x[0])):
+        col = [row[i] if row[i] > 0.0 else 0.0 for row in x]
+        mass = 0.0
+        for v in col:
+            mass += v
+        if mass > dispatch.ZERO_MASS:
+            break
+    else:
+        clipped = [[v if v > 0.0 else 0.0 for v in row] for row in x]
+        return dispatch.DispatchField(f, float(np.sum(clipped)), buffers)
+    loss = 0.0
+    for row, v, b in zip(f, col, buffers):
+        if b == i:
+            loss += v / mass
+        else:
+            row[i] = v / mass
+    return dispatch.DispatchField(f, loss, buffers)
+
+
 def sojourn_weights(spec, policy, report):
     """Entry weights (k, entry length, weight) of the system-time recursion
     in the report's regime."""

@@ -7,8 +7,8 @@ from lbmf.dispatch import (f_jbt, f_jiq, f_jsq, f_jsqd_limit, f_partial,
 from lbmf.model import ClusterSpec, Occupancy, Policy, ServerType, ServiceRateCurve
 
 from conftest import ALL_POLICIES
-from oracles import (brute_force_choice_of_two, field_total, per_type_field,
-                     sample_target)
+from oracles import (brute_force_choice_of_two, field_total, jsq_by_columns,
+                     per_type_field, sample_target)
 
 
 def state(x):
@@ -111,6 +111,39 @@ def test_jsq_with_no_level_above_zero_mass_loses_everything():
     assert f.rows == [[0.0] * 3, [0.0] * 3]
     assert f.loss == float(np.sum(np.maximum(x[0], 0.0)))
     assert f.loss == pytest.approx(1.2e-12, rel=1e-12)
+
+
+def test_jsq_matches_column_lists_bit_for_bit():
+    """``f_jsq`` skips the entries that are not positive where the column-list
+    form adds their clipped 0.0: rows and loss keep every bit, on rows with
+    negatives, NaN, -0.0, entries at exactly ZERO_MASS, levels that hold too
+    little, and the chosen level at a type's buffer."""
+    rng = np.random.default_rng(30)
+    z = dispatch.ZERO_MASS
+    specials = [-1e-12, -0.25, -0.0, 0.0, np.nan, z, 0.4 * z, 3e-14]
+    for buffers in ([3, 7], [7, 7], [2, 6, 6], [4]):
+        width = max(buffers) + 1
+        for _ in range(300):
+            first = rng.integers(width + 1)  # == width: no level holds enough
+            x = []
+            for b in buffers:
+                row = [0.0] * width
+                for i in range(b + 1):
+                    if i < first:
+                        row[i] = specials[rng.integers(len(specials))]
+                    elif rng.random() < 0.7:
+                        row[i] = rng.random() if rng.random() < 0.8 else \
+                            specials[rng.integers(len(specials))]
+                x.append(row)
+            got, want = f_jsq(x, buffers), jsq_by_columns(x, buffers)
+            assert np.array(got.rows).tobytes() == np.array(want.rows).tobytes()
+            assert np.float64(got.loss).tobytes() == np.float64(want.loss).tobytes()
+    # a level whose mass is exactly ZERO_MASS is passed over; the next one,
+    # at type 0's buffer, sends type 0's share to loss
+    x = [[z, 0.0, 0.25, 0.0], [-0.0, np.nan, 0.5, 0.25]]
+    got, want = f_jsq(x, [2, 3]), jsq_by_columns(x, [2, 3])
+    assert got.rows == want.rows == [[0.0] * 4, [0.0, 0.0, 0.5 / 0.75, 0.0]]
+    assert got.loss == want.loss == 0.25 / 0.75
 
 
 # --- jsqd --------------------------------------------------------------------

@@ -254,6 +254,28 @@ def test_trajectory_matches_recorded_digest(fixture, label, request):
     assert digest == TRAJECTORY_DIGESTS[fixture, label]
 
 
+FIELD_CALLS = {"random": 3000, "jiq": 18710, "jsq": 18184, "jsqd(2)": 3000,
+               "jsqd(5)": 3000, "jbt": 3000}
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=Policy.label)
+def test_integrate_field_calls(het_spec, policy, monkeypatch):
+    """``integrate`` evaluates each field through the module attribute
+    ``dispatch.field``, twice per sub-step: 1500 steps of one sub-step each
+    for the smooth fields, more where jiq and jsq cut their steps at the
+    boundary. The benchmark's tracer counts these calls by wrapping the attribute."""
+    calls = []
+    field = dispatch.field
+
+    def counting(x, spec, pol):
+        calls.append(None)
+        return field(x, spec, pol)
+
+    monkeypatch.setattr(dispatch, "field", counting)
+    ode.integrate(Occupancy.empty(het_spec), het_spec, policy, horizon=3, dt=0.002)
+    assert len(calls) == FIELD_CALLS[policy.label()]
+
+
 def test_sweep_clears_below_the_floor_into_the_largest_entry():
     """``_sweep`` adds a row's nonzero entries below the floor, left to right
     from 0.0, to the row's largest entry as it stood before clearing; exact
@@ -273,6 +295,29 @@ def test_sweep_clears_below_the_floor_into_the_largest_entry():
     x = [[0.0, 2e-14, 5e-14, -1e-15]]
     ode._sweep(x, ode.DUST)
     assert x == [[0.0, 0.0, 2e-14 + 5e-14 + -1e-15, 0.0]]
+
+
+def test_sweep_dust_is_both_sweeps_bit_for_bit():
+    """``_sweep_dust``, the sweep after each sub-step, leaves the bytes that
+    ``_sweep(_sweep(x, 0.0), DUST)`` leaves, on rows that mix negatives, -0.0,
+    exact zeros and dust in (0, DUST), rows of dust only, and clean rows."""
+    rng = np.random.default_rng(30)
+    dust = ode.DUST
+    kinds = [lambda: rng.random(), lambda: -rng.random() * 1e-12, lambda: -0.0,
+             lambda: 0.0, lambda: rng.random() * dust, lambda: dust]
+    for _ in range(2000):
+        x = []
+        for _ in range(rng.integers(1, 4)):
+            width = rng.integers(2, 12)
+            shape = rng.integers(3)  # mixed, dust only, clean
+            picks = (rng.integers(len(kinds), size=width) if shape == 0 else
+                     rng.choice([2, 3, 4], size=width) if shape == 1 else
+                     rng.choice([0, 3, 5], size=width))
+            x.append([kinds[k]() for k in picks])
+        want = ode._sweep(ode._sweep([row[:] for row in x], 0.0), dust)
+        got = ode._sweep_dust(x)
+        assert got is x
+        assert [np.array(r).tobytes() for r in got] == [np.array(r).tobytes() for r in want]
 
 
 def test_integrate_sweeps_v0_once(het_spec):
