@@ -212,21 +212,29 @@ def serving_violations(spec: ClusterSpec) -> list:
     return [v for k, t in enumerate(spec.types) for v in _serving(k, t)]
 
 
+def _whole(x) -> bool:
+    """An integer, not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def mpl_violations(spec: ClusterSpec, what: str) -> list:
-    """The rule that ``what`` (jbt, or lps system times) needs ``mpl`` on
-    every type of ``spec``."""
-    return [f"{what} requires mpl on every type; type {k} has none"
-            for k, t in enumerate(spec.types) if t.mpl is None]
+    """The rule that ``what`` (jbt, or lps system times) needs an integer
+    ``mpl`` on every type of ``spec``."""
+    return [f"{what} requires mpl on every type; type {k} has "
+            + ("none" if t.mpl is None else f"{t.mpl!r}, not an integer")
+            for k, t in enumerate(spec.types) if not _whole(t.mpl)]
 
 
 def policy_violations(spec: ClusterSpec, policy: Policy) -> list:
-    """A known kind, ``d`` >= 1 for jsqd and for no other kind, ``mpl`` on
-    every type of ``spec`` for jbt, and ``control`` in (0, 1]."""
+    """A known kind, an integer ``d`` >= 1 for jsqd only, an integer ``mpl``
+    on every type of ``spec`` for jbt, and ``control`` in (0, 1]."""
     out = []
     if policy.kind not in POLICY_KINDS:
         out.append(f"unknown policy kind {policy.kind!r}")
     if policy.kind == "jsqd":
-        if policy.d is None or policy.d < 1:
+        if policy.d is not None and not _whole(policy.d):
+            out.append(f"jsqd requires an integer d, got {policy.d!r}")
+        elif policy.d is None or policy.d < 1:
             out.append(f"jsqd requires d >= 1, got {policy.d}")
     elif policy.d is not None:
         out.append(f"policy {policy.kind} takes no d")
@@ -251,6 +259,13 @@ def size_violations(spec: ClusterSpec, **sizes) -> list:
             for name, n in sizes.items() if n is not None and n < spec.k]
 
 
+def layout_violations(spec: ClusterSpec, v: Occupancy) -> list:
+    """The rule for a state of ``spec``: laid out for the spec's buffers."""
+    buffers = tuple(map(int, v.buffers))
+    return [] if buffers == spec.buffers else [
+        f"state buffers {buffers} do not match the spec's buffers {spec.buffers}"]
+
+
 def validate(spec: ClusterSpec, policy: Policy) -> list:
     """Check every model invariant; return human-readable violations."""
     if not spec.types:
@@ -258,7 +273,6 @@ def validate(spec: ClusterSpec, policy: Policy) -> list:
     out = []
     if not (spec.lam > 0):
         out.append(f"lambda must be > 0, got {spec.lam}")
-    gsum = 0.0
     for k, t in enumerate(spec.types):
         rates = t.curve.rates
         b = t.buffer
@@ -276,9 +290,11 @@ def validate(spec: ClusterSpec, policy: Policy) -> list:
         out += _serving(k, t)
         if not (0 < t.gamma <= 1):
             out.append(f"type {k}: gamma must be in (0, 1], got {t.gamma}")
-        if t.mpl is not None and not (1 <= t.mpl <= b):
+        if t.mpl is not None and not _whole(t.mpl):
+            out.append(f"type {k}: mpl must be an integer, got {t.mpl!r}")
+        elif t.mpl is not None and not (1 <= t.mpl <= b):
             out.append(f"type {k}: mpl must be in [1, {b}], got {t.mpl}")
-        gsum += t.gamma
+    gsum = left_sum(t.gamma for t in spec.types)
     if abs(gsum - 1.0) > GAMMA_SUM_TOL:
         out.append(f"type fractions sum to {gsum!r}, expected 1")
     cap = spec.capacity(max(spec.buffers))
@@ -301,7 +317,7 @@ def _number(x, where) -> float:
 
 def _count(x, where, least):
     """An optional integer (not a bool), at least ``least``."""
-    if x is not None and (isinstance(x, bool) or not isinstance(x, Integral) or x < least):
+    if x is not None and (not _whole(x) or x < least):
         raise ConfigError(f"{where}: expected an integer >= {least}, got {x!r}")
     return x
 

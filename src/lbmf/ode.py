@@ -11,9 +11,9 @@ the boundary of the occupancy simplex the hard part:
   the two stage fields disagree about which levels receive arrivals - a
   full midpoint step across such a jump can cancel its own boundary flux
   and freeze the trajectory;
-* one boundary sweep clears each type's entries below a floor into its
-  largest entry, keeping type masses exact: ``v0`` once, then negative
-  overshoot and residue below DUST after each sub-step, in rows holding either.
+* one boundary sweep clears negative overshoot, then residue below DUST,
+  into each type's largest entry, keeping type masses exact, in rows
+  holding either: once on ``v0``, then after each sub-step.
 
 Fields are evaluated verbatim on the current state (no sliding-mode
 construction); near a discontinuous attractor the trajectory hovers within
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import dispatch
 from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy, Trajectory,
-                    ValidationError, policy_violations, run_violations, unpad)
+                    ValidationError, layout_violations, policy_violations, run_violations, unpad)
 
 DUST = 1e-13
 
@@ -56,8 +56,9 @@ def _deriv(rates, lam, x, f):
 
 
 def rhs(v: Occupancy, spec: ClusterSpec, policy: Policy):
-    """Time derivative of the occupancy, as a padded array like
-    ``v.array``; each type's row sums to zero."""
+    """Time derivative of the occupancy, as a padded array like ``v.array``;
+    each type's row sums to zero. Refuses a policy or ``v`` as ``integrate`` does."""
+    ValidationError.check(policy_violations(spec, policy) + layout_violations(spec, v))
     x = v.array.tolist()
     rates = [(r, r[1:] + [0.0]) for r in spec.rates.tolist()]
     f = dispatch.field(x, spec, policy)
@@ -74,29 +75,27 @@ def _same_support(f1, f2):
     return True
 
 
-def _sweep(x, lo):
-    """Clear every nonzero entry below lo into its type's largest entry as it
-    stood, summed left to right from 0.0. Rows change in place."""
-    for row in x:
-        for v in row:
-            if v < lo and v != 0.0:
-                top = row.index(max(row))
-                s = 0.0
-                for i, w in enumerate(row):
-                    if w < lo and w != 0.0:
-                        s += w
-                        row[i] = 0.0
-                row[top] += s
-                break
-    return x
+def _clear(row, lo):
+    """Clear the row's nonzero entries below lo, in place, into its largest
+    entry as it stood, summed left to right from 0.0; a row with none keeps its bits."""
+    top = row.index(max(row))
+    s = 0.0
+    for i, w in enumerate(row):
+        if w < lo and w != 0.0:
+            s += w
+            row[i] = 0.0
+    if s:
+        row[top] += s
 
 
 def _sweep_dust(x):
-    """``_sweep(_sweep(x, 0.0), DUST)``, run only on rows with a nonzero entry below DUST."""
+    """Clear negatives, then residue below DUST, in rows with a nonzero entry below DUST."""
     for row in x:
         for v in row:
             if v < DUST and v != 0.0:
-                _sweep(_sweep([row], 0.0), DUST)
+                if min(row) < 0.0:
+                    _clear(row, 0.0)
+                _clear(row, DUST)
                 break
     return x
 
@@ -130,17 +129,17 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
     """Trajectory from v0, sampled every ``sample_interval``.
 
     ``dt`` is snapped so an integer number of steps fits each sample. A
-    policy that ``model.policy_violations`` refuses, or a horizon, ``dt`` or
-    ``sample_interval`` that ``model.run_violations`` refuses, raises
-    ValidationError.
+    policy that ``model.policy_violations`` refuses, a horizon, ``dt`` or
+    ``sample_interval`` that ``model.run_violations`` refuses, or a ``v0``
+    that ``model.layout_violations`` refuses raises ValidationError.
     """
-    ValidationError.check(policy_violations(spec, policy) + run_violations(
-        horizon=horizon, dt=dt, sample_interval=sample_interval))
+    ValidationError.check(policy_violations(spec, policy) + layout_violations(spec, v0)
+                          + run_violations(horizon=horizon, dt=dt, sample_interval=sample_interval))
     per_sample = max(1, round(sample_interval / dt))
     dt = sample_interval / per_sample
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
-    x = _sweep(v0.array.tolist(), DUST)
+    x = _sweep_dust(v0.array.tolist())
     rates = [(r, r[1:] + [0.0]) for r in spec.rates.tolist()]
     traj = np.empty((n_samples,) + v0.array.shape)
     traj[0] = v0.array
@@ -157,11 +156,10 @@ def solve_to_stationarity(v0: Occupancy, spec: ClusterSpec, policy: Policy,
                           tol: float = 1e-9, t_max: float = 1e4,
                           dt: float = 1e-2, check_interval: float = 1.0) -> Occupancy:
     """Integrate one ``check_interval`` at a time until the derivative is
-    below tol in sup norm. A refused policy, ``t_max``, ``dt`` or
-    ``check_interval`` raises ValidationError naming it; passing ``t_max``
-    raises ConvergenceError carrying the last state and residual."""
-    ValidationError.check(policy_violations(spec, policy) + run_violations(
-        t_max=t_max, dt=dt, check_interval=check_interval))
+    below tol in sup norm. A policy or ``v0`` that ``integrate`` refuses, or a
+    refused ``t_max``, ``dt`` or ``check_interval``, raises ValidationError;
+    passing ``t_max`` raises ConvergenceError carrying the last state and residual."""
+    ValidationError.check(run_violations(t_max=t_max, dt=dt, check_interval=check_interval))
     state, t, residual = v0, 0.0, math.inf
     while t < t_max:
         traj = integrate(state, spec, policy, check_interval, dt, check_interval)

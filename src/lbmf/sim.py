@@ -115,9 +115,7 @@ class SimResult:
     window_losses: int  # how many of them were lost
     completions: int
     in_flight: int
-    n: int
     horizon: float
-    sample_interval: float
     window: tuple | None  # (lo, hi): records only for jobs arriving in it; None: every job
     null_events: int  # clock ticks that fired nothing: a slot above its server's rate
     wall_time: float  # seconds spent in run
@@ -404,9 +402,7 @@ def run(spec: ClusterSpec, policy: Policy, n: int, horizon: float,
         window_losses=len(admitted) - int(np.count_nonzero(admitted)),
         completions=completions,
         in_flight=in_flight,
-        n=n,
         horizon=horizon,
-        sample_interval=sample_interval,
         window=window,
         null_events=ticks - arrivals - completions,
         wall_time=perf_counter() - wall0,

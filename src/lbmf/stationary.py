@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dispatch
 from .model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
-                    ValidationError, left_sum, policy_violations,
+                    ValidationError, left_sum, mpl_violations,
                     serving_violations, validate)
 
 CRITICAL_BAND = 1e-10
@@ -170,18 +170,15 @@ def _two_level(spec, i0: int, regime) -> StationaryReport:
     mu_lo, mu_hi = spec.rates[:, i0 - 1], spec.rates[:, i0]
     per_type = list(zip(gammas.tolist(), mu_lo.tolist(), mu_hi.tolist()))
 
-    def lower(w):
-        return gammas * mu_hi / (w + mu_hi)
-
     def excess(w):
-        # (lower(w) * (w + mu_lo)).sum() on floats, in the same order: numpy
-        # adds fewer than eight entries, one per type, left to right from 0.0
+        # (p * (w + mu_lo)).sum() with p as below, on floats, in the same order:
+        # numpy adds fewer than eight entries, one per type, left to right from 0.0
         return left_sum(g * hi / (w + hi) * (w + lo) for g, lo, hi in per_type) - lam
 
     # throughput >= cap(i0) - sum(gamma mu_hi (mu_hi - mu_lo)) / w bounds the root
     w_max = float((gammas * mu_hi * (mu_hi - mu_lo)).sum()) / (spec.capacity(i0) - lam)
     w = _bisect(excess, 0.0, w_max)
-    p = lower(w)
+    p = gammas * mu_hi / (w + mu_hi)
     arrivals = np.zeros(spec.rates.shape)
     arrivals[:, i0 - 1] = w
     return _report(spec, regime, arrivals, i0 - 1,
@@ -347,7 +344,7 @@ def solve_jbt(spec: ClusterSpec) -> StationaryReport:
     """Balance in the availability mass y, the mass below the thresholds:
     arrivals reach those servers at rate lam / y each, and each type's chain
     ends at its threshold."""
-    ValidationError.check(serving_violations(spec) + policy_violations(spec, Policy("jbt")))
+    ValidationError.check(serving_violations(spec) + mpl_violations(spec, "jbt"))
     lam = spec.lam
     cap = left_sum(t.gamma * t.curve.rates[t.mpl] for t in spec.types)
     if not (lam < cap):

@@ -62,22 +62,6 @@ class _Queue:
     lo: int
     levels: dict
 
-    def add_transform(self, s, acc, mpl=0):
-        """Add the entry-weighted diagonal H[j, j] of the transform recursion
-        at the complex points ``s``, an array of any shape, into ``acc`` of
-        that shape; H[j, j] is final after row j. Under limited processor
-        sharing at level ``mpl`` a job that enters at j <= mpl is in
-        service, and its entry is H1[j]."""
-        row, start = [1.0] * len(self.mu) + [0.0], 1
-        if mpl:
-            row, start = _service_row(self, mpl, s), mpl + 1
-            for j, w in self.levels.items():
-                if j <= mpl:
-                    acc += w * row[j]
-        for i, row in _rows(self, 0.0, row, s, start):
-            if i in self.levels:
-                acc += self.levels[i] * row[i]
-
 
 def _queues(spec, report):
     """Per-type recursion inputs from the report's arrival rates and floor."""
@@ -140,17 +124,25 @@ def mean_sojourn(spec: ClusterSpec, policy: Policy, report: StationaryReport):
 
 
 def _pointwise(queues, mpls):
-    """Evaluator over s summing each type's ``add_transform`` at its ``mpl``.
-
-    ``s`` may be a complex scalar, which gives a Python complex back, or an
-    ndarray of complex points, which gives an array of the same shape.
-    """
+    """Evaluator over s of the entry-weighted diagonal H[j, j] of the
+    transform recursion (final after row j), summed over the types; at a
+    type's ``mpl`` > 0 a job entering at j <= mpl is in service, with entry
+    H1[j]. ``s`` is a complex scalar, giving a Python complex, or an ndarray
+    of complex points, giving an array of the same shape."""
 
     def evaluate(s):
         points = np.asarray(s, dtype=complex)
         acc = np.zeros(points.shape, dtype=complex)
         for q, mpl in zip(queues, mpls):
-            q.add_transform(points, acc, mpl)
+            row, start = [1.0] * len(q.mu) + [0.0], 1
+            if mpl:
+                row, start = _service_row(q, mpl, points), mpl + 1
+                for j, w in q.levels.items():
+                    if j <= mpl:
+                        acc += w * row[j]
+            for i, row in _rows(q, 0.0, row, points, start):
+                if i in q.levels:
+                    acc += q.levels[i] * row[i]
         return complex(acc) if np.isscalar(s) else acc
 
     return evaluate
@@ -244,7 +236,7 @@ def mean_sojourn_lps(spec: ClusterSpec, policy: Policy, report: StationaryReport
         )
     _check_regime(policy, report)
     ValidationError.check(mpl_violations(spec, "lps"))
-    return _pointwise(_queues(spec, report), [int(t.mpl) for t in spec.types])
+    return _pointwise(_queues(spec, report), [t.mpl for t in spec.types])
 
 
 def _service_row(q: _Queue, mpl, s):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lbmf import ode, sim
+from lbmf import ode, sim, stationary
 from lbmf.model import (ClusterSpec, ConfigError, Occupancy, Policy,
                         ServerType, ServiceRateCurve, ValidationError,
                         parse_config, serialize_config, validate)
@@ -64,23 +64,32 @@ def test_policy_validation():
     assert any("control" in v for v in validate(spec, Policy("jsq", control=0.0)))
 
 
-@pytest.mark.parametrize("layer", ["sim", "ode", "stationarity"])
-@pytest.mark.parametrize("policy,match", [
-    (Policy("jsq", control=1.7), "control must be in"),
-    (Policy("jsq", control=0.0), "control must be in"),
-    (Policy("jsqd"), "jsqd requires d >= 1"),
-    (Policy("jbt"), "jbt requires mpl on every type"),
-    (Policy("lifo"), "unknown policy kind")],
-    ids=["control-1.7", "control-0", "jsqd-no-d", "jbt-no-mpl", "unknown-kind"])
-def test_layers_refuse_invalid_policy(layer, policy, match):
-    """The simulator and the ODE refuse a policy by ``validate``'s own
-    policy rules, before they start."""
+@pytest.mark.parametrize("layer", ["sim", "ode", "stationarity", "rhs", "solve"])
+@pytest.mark.parametrize("policy,mpl,match", [
+    (Policy("jsq", control=1.7), None, "control must be in"),
+    (Policy("jsq", control=0.0), None, "control must be in"),
+    (Policy("jsqd"), None, "jsqd requires d >= 1"),
+    (Policy("jbt"), None, "jbt requires mpl on every type"),
+    (Policy("lifo"), None, "unknown policy kind"),
+    (Policy("jsqd", d=2.5), None, "jsqd requires an integer d, got 2.5"),
+    (Policy("jsqd", d=2.0), None, "jsqd requires an integer d, got 2.0"),
+    (Policy("jsqd", d=True), None, "jsqd requires an integer d, got True"),
+    (Policy("jbt"), 2.0, "jbt requires mpl on every type; type 0 has 2.0, not an integer"),
+    (Policy("jbt"), 1.5, "jbt requires mpl on every type; type 0 has 1.5, not an integer"),
+    (Policy("jbt"), True, "jbt requires mpl on every type; type 0 has True, not an integer")],
+    ids=["control-1.7", "control-0", "jsqd-no-d", "jbt-no-mpl", "unknown-kind",
+         "jsqd-d-2.5", "jsqd-d-2.0", "jsqd-d-true", "jbt-mpl-2.0", "jbt-mpl-1.5", "jbt-mpl-true"])
+def test_layers_refuse_invalid_policy(layer, policy, mpl, match):
+    """The simulator, the ODE and the stationary solver refuse a policy by
+    ``validate``'s own policy rules, before they start."""
     spec = ClusterSpec(lam=0.5, types=(
-        ServerType(1.0, ServiceRateCurve.from_mu([1.0, 1.0])),))
+        ServerType(1.0, ServiceRateCurve.from_mu([1.0, 1.0]), mpl=mpl),))
     v0 = Occupancy.empty(spec)
     call = {"sim": lambda: sim.run(spec, policy, n=10, horizon=1.0, seed=0),
             "ode": lambda: ode.integrate(v0, spec, policy, horizon=1.0),
-            "stationarity": lambda: ode.solve_to_stationarity(v0, spec, policy)}[layer]
+            "stationarity": lambda: ode.solve_to_stationarity(v0, spec, policy),
+            "rhs": lambda: ode.rhs(v0, spec, policy),
+            "solve": lambda: stationary.solve(spec, policy)}[layer]
     with pytest.raises(ValidationError, match=match):
         call()
 
@@ -261,11 +270,23 @@ def _curve(*mu):
      "type 0: gamma must be in (0, 1], got 1.5"),
     (0.5, ((1.0, _curve(1.0, 1.0), 3),), "type 0: mpl must be in [1, 2], got 3"),
     (0.5, ((0.5, _curve(1.0, 1.0)), (0.4, _curve(1.0, 1.0))),
-     "type fractions sum to 0.9, expected 1")],
-    ids=["no-types", "lambda-0", "buffer-0", "rates0", "gamma-1.5", "mpl-3", "gamma-sum"])
+     "type fractions sum to 0.9, expected 1"),
+    (0.5, ((1.0, _curve(1.0, 1.0), 2.0),), "type 0: mpl must be an integer, got 2.0"),
+    (0.5, ((1.0, _curve(1.0, 1.0), 1.5),), "type 0: mpl must be an integer, got 1.5"),
+    (0.5, ((1.0, _curve(1.0, 1.0), True),), "type 0: mpl must be an integer, got True")],
+    ids=["no-types", "lambda-0", "buffer-0", "rates0", "gamma-1.5", "mpl-3", "gamma-sum",
+         "mpl-2.0", "mpl-1.5", "mpl-true"])
 def test_validate_names_each_broken_rule(lam, types, message):
     spec = ClusterSpec(lam=lam, types=tuple(ServerType(*t) for t in types))
     assert message in validate(spec, Policy("random"))
+
+
+def test_validate_sums_the_fractions_of_every_type():
+    """A type with no buffer still counts toward the fractions' sum, as in
+    ``parse_config``, so only its buffer is reported."""
+    spec = ClusterSpec(lam=0.25, types=(ServerType(0.5, ServiceRateCurve((0.0,))),
+                                        ServerType(0.5, _curve(1.0, 1.0))))
+    assert validate(spec, Policy("random")) == ["type 0: buffer must be >= 1"]
 
 
 @pytest.mark.parametrize("edit,message", [

@@ -1,11 +1,11 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from lbmf import dispatch, ode, sim, stationary
-from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy,
-                        ServerType, ServiceRateCurve)
+from lbmf.model import ClusterSpec, ConvergenceError, Occupancy, Policy, ValidationError
 
 from conftest import ALL_POLICIES
 from oracles import occupancy_at, sup_distance
@@ -18,6 +18,22 @@ def test_rhs_from_empty_state(hom_spec):
     assert d[0] == pytest.approx(-lam)
     assert d[1] == pytest.approx(lam)
     assert d[2:].sum() == 0.0
+
+
+@pytest.mark.parametrize("layer", ["integrate", "stationarity", "rhs"])
+@pytest.mark.parametrize("state,target", [("het", "hom"), ("hom", "b5"), ("b5", "hom")])
+def test_a_state_laid_out_for_other_buffers_is_refused(request, layer, state, target):
+    """A ``v0`` with another type count or other buffers than the spec's is
+    refused by name, not run on rows that copy one type or fail to broadcast."""
+    spec = request.getfixturevalue(f"{target}_spec")
+    v0 = Occupancy.empty(request.getfixturevalue(f"{state}_spec"))
+    call = {"integrate": lambda: ode.integrate(v0, spec, Policy("random"), horizon=0.2),
+            "stationarity": lambda: ode.solve_to_stationarity(v0, spec, Policy("random")),
+            "rhs": lambda: ode.rhs(v0, spec, Policy("random"))}[layer]
+    message = (f"state buffers {tuple(v0.buffers.tolist())} do not match "
+               f"the spec's buffers {spec.buffers}")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
 
 
 def test_rhs_zero_at_random_stationary(hom_spec):
@@ -277,34 +293,45 @@ def test_integrate_field_calls(het_spec, policy, monkeypatch):
 
 
 def test_sweep_clears_below_the_floor_into_the_largest_entry():
-    """``_sweep`` adds a row's nonzero entries below the floor, left to right
+    """``_clear`` adds a row's nonzero entries below the floor, left to right
     from 0.0, to the row's largest entry as it stood before clearing; exact
-    zeros of either sign, and rows with nothing below the floor, keep their bits."""
+    zeros of either sign keep their bits, and so does a row with nothing
+    below the floor, even one whose largest entry is -0.0."""
     # 2.1 + ((0.1 + 0.4) + 0.3) rounds up; the sum in reverse order, or the
     # entries added to 2.1 one by one, give 2.9
-    x = [[0.1, 2.1, 0.4, 0.3], [0.0, 1.5, -0.0, 3.0]]
-    clean = np.array(x[1]).tobytes()
-    assert ode._sweep(x, 1.0) is x
+    x = [[0.1, 2.1, 0.4, 0.3], [0.0, 1.5, -0.0, 3.0], [-0.0, 0.0]]
+    clean = [np.array(row).tobytes() for row in x[1:]]
+    for row in x:
+        ode._clear(row, 1.0)
     assert x[0] == [0.0, 2.9000000000000004, 0.0, 0.0]
-    assert np.array(x[1]).tobytes() == clean
-    x = [[0.25, -0.125, 0.5, -0.0]]
-    ode._sweep(x, 0.0)
-    assert np.array(x[0]).tobytes() == np.array([0.25, 0.0, 0.375, -0.0]).tobytes()
+    assert [np.array(row).tobytes() for row in x[1:]] == clean
+    x = [0.25, -0.125, 0.5, -0.0]
+    ode._clear(x, 0.0)
+    assert np.array(x).tobytes() == np.array([0.25, 0.0, 0.375, -0.0]).tobytes()
     # a row of dust only (a type share below (B + 1) * DUST): its mass stays
-    # at its largest entry, which the sweep itself clears first
-    x = [[0.0, 2e-14, 5e-14, -1e-15]]
-    ode._sweep(x, ode.DUST)
-    assert x == [[0.0, 0.0, 2e-14 + 5e-14 + -1e-15, 0.0]]
+    # at its largest entry, which the clearing itself empties first
+    x = [0.0, 2e-14, 5e-14, -1e-15]
+    ode._clear(x, ode.DUST)
+    assert x == [0.0, 0.0, 2e-14 + 5e-14 + -1e-15, 0.0]
 
 
 def test_sweep_dust_is_both_sweeps_bit_for_bit():
-    """``_sweep_dust``, the sweep after each sub-step, leaves the bytes that
-    ``_sweep(_sweep(x, 0.0), DUST)`` leaves, on rows that mix negatives, -0.0,
-    exact zeros and dust in (0, DUST), rows of dust only, and clean rows."""
+    """``_sweep_dust``, the sweep of ``v0`` and after each sub-step, leaves the
+    bytes that clearing every row with a nonzero entry below 0.0, and then
+    every row with one below DUST, leaves, on rows that mix negatives, -0.0,
+    exact zeros and dust in (0, DUST), rows of dust only, and clean rows, and
+    on a row whose negative clearing leaves only zeros, -0.0 first."""
     rng = np.random.default_rng(30)
     dust = ode.DUST
     kinds = [lambda: rng.random(), lambda: -rng.random() * 1e-12, lambda: -0.0,
              lambda: 0.0, lambda: rng.random() * dust, lambda: dust]
+
+    def sweep(x, lo):
+        for row in x:
+            if any(v < lo and v != 0.0 for v in row):
+                ode._clear(row, lo)
+        return x
+
     for _ in range(2000):
         x = []
         for _ in range(rng.integers(1, 4)):
@@ -314,10 +341,13 @@ def test_sweep_dust_is_both_sweeps_bit_for_bit():
                      rng.choice([2, 3, 4], size=width) if shape == 1 else
                      rng.choice([0, 3, 5], size=width))
             x.append([kinds[k]() for k in picks])
-        want = ode._sweep(ode._sweep([row[:] for row in x], 0.0), dust)
+        want = sweep(sweep([row[:] for row in x], 0.0), dust)
         got = ode._sweep_dust(x)
         assert got is x
         assert [np.array(r).tobytes() for r in got] == [np.array(r).tobytes() for r in want]
+    x = [[-0.0, 0.5, -0.5]]
+    ode._sweep_dust(x)
+    assert np.array(x).tobytes() == np.array([[-0.0, 0.0, 0.0]]).tobytes()
 
 
 def test_integrate_sweeps_v0_once(het_spec):
