@@ -6,7 +6,10 @@ state as padded type-by-length rows of Python floats
 (``Occupancy.array.tolist()``, the form the ODE step keeps) plus each
 type's buffer, and returns rows laid out the same way. Mass a policy would
 send to full queues is reported on a separate loss channel, so field
-entries at a type's buffer level are always zero. The finite-cluster
+entries at a type's buffer level are always zero. The ODE step passes rows
+cut short past their highest nonzero level, so a field takes its length
+from the rows and must map zero state entries to zero field entries: then
+it returns the full rows' prefix and the same loss. The finite-cluster
 simulator picks targets by the same rules on server counts.
 
 The ODE calls a field twice per sub-step, at most 64 sub-steps per step
@@ -60,11 +63,13 @@ def _level_mass(q):
 
 
 def _lose_full(f, buffers) -> DispatchField:
-    """Field rows f with each type's entry at its buffer moved to the loss channel."""
+    """Field rows f with each type's entry at its buffer moved to the loss
+    channel, for the rows that reach their buffer."""
     loss = 0.0
     for row, b in zip(f, buffers):
-        loss += row[b]
-        row[b] = 0.0
+        if b < len(row):
+            loss += row[b]
+            row[b] = 0.0
     return DispatchField(f, loss, buffers)
 
 

@@ -26,9 +26,19 @@ Python floats per type (``Occupancy.array.tolist()``), and the dispatch
 fields read those rows as they are. Each step loops over those few dozen
 entries directly, since numpy's per-call overhead would outweigh the
 arithmetic. Every sum and product runs in a fixed order, which the
-trajectory digests in the tests pin to the bit. Rates and fields are zero
-past each type's buffer, so those entries have zero derivative and stay
-exactly zero. Trajectories are handed back per type.
+trajectory digests in the tests pin to the bit. Trajectories are handed
+back per type.
+
+The rows are cut, all types together, to the occupied width: up to the
+highest column holding a nonzero entry, plus two all-zero guard columns,
+at most the padded width. Every field, like the service flow, is zero
+wherever the state is zero, so the derivative carries mass at most one
+column past the front of the state it is taken on: the first stage moves
+the front one column and the midpoint stage one more, hence two guards,
+and the columns past them have zero derivative in both stages and stay
+exactly zero. After each sub-step in which a guard holds mass, zero
+columns are appended until both guards are zero again or the rows reach
+full width; they never shrink, and the check stops once they are full.
 """
 
 from __future__ import annotations
@@ -100,9 +110,17 @@ def _sweep_dust(x):
     return x
 
 
+def _width(x, full):
+    """Columns of rows x up to their highest nonzero entry plus two zero guards, at most full."""
+    top = max(max((i for i, v in enumerate(row) if v), default=-1) for row in x)
+    return min(full, top + 3)
+
+
 def _advance(x, rates, spec, policy, dt):
-    """Move rows x, swept below DUST, by dt in boundary-exact sub-steps that keep them so."""
+    """Move rows x, swept below DUST and cut to ``_width``, by dt in
+    boundary-exact sub-steps that keep them so."""
     lam = spec.lam
+    full = len(rates[0][0])
     remaining = dt
     for _ in range(64):
         f1 = dispatch.field(x, spec, policy)
@@ -118,6 +136,9 @@ def _advance(x, rates, spec, policy, dt):
         f2 = dispatch.field(mid, spec, policy)
         k = _deriv(rates, lam, mid, f2.rows) if _same_support(f1, f2) else k1
         x = _sweep_dust([[v + h * g for v, g in zip(xr, kr)] for xr, kr in zip(x, k)])
+        if len(x[0]) < full and any(row[-1] or row[-2] for row in x):
+            pad = [0.0] * (_width(x, full) - len(x[0]))
+            x = [row + pad for row in x]
         remaining -= h
         if remaining <= 1e-12 * dt:
             break
@@ -140,13 +161,15 @@ def integrate(v0: Occupancy, spec: ClusterSpec, policy: Policy, horizon: float,
     n_samples = int(horizon / sample_interval + 1e-9) + 1
     times = np.arange(n_samples) * sample_interval
     x = _sweep_dust(v0.array.tolist())
+    width = _width(x, len(x[0]))
+    x = [row[:width] for row in x]
     rates = [(r, r[1:] + [0.0]) for r in spec.rates.tolist()]
-    traj = np.empty((n_samples,) + v0.array.shape)
+    traj = np.zeros((n_samples,) + v0.array.shape)
     traj[0] = v0.array
     for s in range(1, n_samples):
         for _ in range(per_sample):
             x = _advance(x, rates, spec, policy, dt)
-        traj[s] = x
+        traj[s, :, :len(x[0])] = x
         if not np.isfinite(traj[s]).all():
             raise ConvergenceError(f"non-finite state at t={times[s]:g}")
     return Trajectory(times=times, parts=unpad(traj.swapaxes(0, 1), v0.buffers))

@@ -4,7 +4,8 @@ import pytest
 from lbmf import dispatch
 from lbmf.dispatch import (f_jbt, f_jiq, f_jsq, f_jsqd_limit, f_partial,
                            f_random, field)
-from lbmf.model import ClusterSpec, Occupancy, Policy, ServerType, ServiceRateCurve
+from lbmf.model import (ClusterSpec, Occupancy, Policy, ServerType, ServiceRateCurve,
+                        policy_violations)
 
 from conftest import ALL_POLICIES
 from oracles import (brute_force_choice_of_two, field_total, jsq_by_columns,
@@ -282,6 +283,36 @@ def test_field_matches_per_type_reference(het_spec, b37_spec, policy):
             ref, loss = per_type_field(x.parts, thresholds, policy)
             assert all(np.array_equal(a, b) for a, b in zip(f.parts, ref))
             assert f.loss == loss
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES + [
+    Policy("jsqd", d=20), Policy("random", control=0.5), Policy("jiq", control=0.5),
+    Policy("jsq", control=0.4), Policy("jsqd", d=2, control=0.7), Policy("jbt", control=0.5)],
+    ids=lambda p: p.label())
+def test_field_on_rows_cut_past_the_last_nonzero_level(het_spec, b37_spec, b266_spec, policy):
+    """A field maps a zero state entry to a zero field entry, so on rows cut
+    two zero columns past their highest nonzero one, as the ODE step keeps
+    them, it returns the full rows' prefix and the same loss, bit for bit;
+    on buffers 3 and 7, and 2, 6 and 6, the cut falls short of some types'
+    buffers and at others'."""
+    rng = np.random.default_rng(32)
+    for spec in (het_spec, b37_spec, b266_spec):
+        if policy_violations(spec, policy):
+            continue
+        width = max(spec.buffers) + 1
+        for top in range(width):
+            for x in random_states(spec, rng, 8):
+                x.array[:, top + 1:] = 0.0
+                if not x.array.any(axis=1).all():
+                    x.array[:, 0] += x.array.sum(axis=1) == 0.0
+                rows = x.array.tolist()
+                full = field(rows, spec, policy)
+                zero = x.array == 0.0
+                assert (np.array(full.rows)[zero] == 0.0).all()
+                cut = min(width, np.flatnonzero(x.array.any(axis=0)).max() + 3)
+                part = field([row[:cut] for row in rows], spec, policy)
+                assert np.array(part.rows).tobytes() == np.array(full.rows)[:, :cut].tobytes()
+                assert np.float64(part.loss).tobytes() == np.float64(full.loss).tobytes()
 
 
 # --- finite-N sampling rule -----------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lbmf import dispatch, ode, sim, stationary
-from lbmf.model import ClusterSpec, ConvergenceError, Occupancy, Policy, ValidationError
+from lbmf.model import (ClusterSpec, ConvergenceError, Occupancy, Policy, ServerType,
+                        ServiceRateCurve, ValidationError, policy_violations)
 
 from conftest import ALL_POLICIES
 from oracles import occupancy_at, sup_distance
@@ -290,6 +291,123 @@ def test_integrate_field_calls(het_spec, policy, monkeypatch):
     monkeypatch.setattr(dispatch, "field", counting)
     ode.integrate(Occupancy.empty(het_spec), het_spec, policy, horizon=3, dt=0.002)
     assert len(calls) == FIELD_CALLS[policy.label()]
+
+
+def traj_bytes(traj):
+    return b"".join(p.tobytes() for p in traj.parts)
+
+
+def full_rows(monkeypatch):
+    """Turn the width cut off: the step keeps every row at full width."""
+    monkeypatch.setattr(ode, "_width", lambda x, full: full)
+
+
+CUT_POLICIES = [Policy("random"), Policy("jiq"), Policy("jsqd", d=2), Policy("jsqd", d=5),
+                Policy("jsqd", d=20), Policy("jsq"), Policy("jbt"), Policy("jsq", control=0.5)]
+
+
+@pytest.mark.parametrize("fixture", ["het_spec", "hom_spec", "b37_spec", "b266_spec"])
+def test_width_cut_is_invisible(fixture, request, monkeypatch):
+    """The step keeps its rows cut two zero columns past their highest
+    nonzero one; on full rows every trajectory keeps its bytes, jsqd's too,
+    which the recorded digests leave out. On the heterogeneous cluster the
+    fields see rows short of the full width under jsq, jsqd and jbt, and
+    full rows under random and jiq, which fill every level."""
+    spec = request.getfixturevalue(fixture)
+    policies = [p for p in CUT_POLICIES if not policy_violations(spec, p)]
+    widths = {}
+    field = dispatch.field
+
+    def spy(x, spec, policy):
+        widths[policy.label()] = max(widths.get(policy.label(), 0), len(x[0]))
+        return field(x, spec, policy)
+
+    def run():
+        return [traj_bytes(ode.integrate(Occupancy.empty(spec), spec, p, horizon=3, dt=0.002))
+                for p in policies]
+
+    monkeypatch.setattr(dispatch, "field", spy)
+    cut = run()
+    full = max(spec.buffers) + 1
+    if fixture == "het_spec":
+        assert widths["random"] == widths["jiq"] == full
+        assert max(widths[k] for k in ("jsqd(2)", "jsqd(5)", "jsq", "jbt")) < full
+    full_rows(monkeypatch)
+    assert run() == cut
+
+
+def test_width_of_v0_with_mass_at_a_buffer(b37_spec, monkeypatch):
+    """Mass at the buffer of the longest type starts the step at full width;
+    at a shorter type's buffer, 3 of 7, the rows stop two columns past it and
+    the field sends that type's arrivals at its buffer to loss as on full
+    rows."""
+    spec = b37_spec
+    starts = []
+    for k, b in enumerate(spec.buffers):
+        v0 = Occupancy.empty(spec)
+        v0.array[k, [0, b]] = 0.5 * spec.types[k].gamma
+        starts.append(v0)
+    assert [ode._width(v0.array.tolist(), 8) for v0 in starts] == [6, 8]
+    policies = [Policy("random"), Policy("jsqd", d=2), Policy("jsq"), Policy("jbt")]
+
+    def run():
+        return [traj_bytes(ode.integrate(v0, spec, p, horizon=1, dt=0.002))
+                for v0 in starts for p in policies]
+
+    cut = run()
+    full_rows(monkeypatch)
+    assert run() == cut
+
+
+def test_width_on_buffer_one_types(monkeypatch):
+    """A cluster of buffer-1 queues has rows of width 2, which the cut keeps
+    whole; beside a buffer-5 type, the buffer-1 rows are cut like the rest."""
+    one = ServiceRateCurve.from_mu([1.0])
+    specs = [ClusterSpec(lam=0.6, types=(ServerType(1.0, one, mpl=1),)),
+             ClusterSpec(lam=0.8, types=(ServerType(0.3, one, mpl=1), ServerType(
+                 0.7, ServiceRateCurve.from_mu([1.0] * 5), mpl=2)))]
+    assert ode._width(Occupancy.empty(specs[0]).array.tolist(), 2) == 2
+    assert ode._width(Occupancy.empty(specs[1]).array.tolist(), 6) == 3
+
+    def run():
+        return [traj_bytes(ode.integrate(Occupancy.empty(spec), spec, p, horizon=2, dt=0.002))
+                for spec in specs for p in ALL_POLICIES]
+
+    cut = run()
+    full_rows(monkeypatch)
+    assert run() == cut
+
+
+def test_width_is_taken_after_the_v0_sweep(het_spec, monkeypatch):
+    """Dust and negatives high in ``v0`` are swept before the rows are cut,
+    so they do not widen them; sample 0 is still ``v0`` as given."""
+    v0 = Occupancy.empty(het_spec)
+    v0.array[0, 9] = 4e-14
+    v0.array[1, 10] = -1e-15
+    v0.array[1, 7] = 3e-14
+    assert ode._width(ode._sweep_dust(v0.array.tolist()), 11) == 3
+    policies = [Policy("jsq"), Policy("jsqd", d=5), Policy("jbt")]
+
+    def run():
+        return [ode.integrate(v0, het_spec, p, horizon=1, dt=0.002) for p in policies]
+
+    cut = run()
+    assert all([p[0].tobytes() for p in traj.parts] == [p.tobytes() for p in v0.parts]
+               for traj in cut)
+    full_rows(monkeypatch)
+    assert [traj_bytes(t) for t in run()] == [traj_bytes(t) for t in cut]
+
+
+def test_width_cut_keeps_stationarity_bits(hom_spec, monkeypatch):
+    """``solve_to_stationarity`` on random, which starts each check interval
+    from the last state, returns the same bits on full rows."""
+    def run():
+        return ode.solve_to_stationarity(Occupancy.empty(hom_spec), hom_spec,
+                                         Policy("random"), tol=1e-9, dt=0.01).array.tobytes()
+
+    cut = run()
+    full_rows(monkeypatch)
+    assert run() == cut
 
 
 def test_sweep_clears_below_the_floor_into_the_largest_entry():
